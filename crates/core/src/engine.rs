@@ -137,7 +137,9 @@ pub struct EngineStats {
     /// validated (non-snapshot) read path — the waste MVCC removes.
     pub read_aborts: u64,
     /// Times this shard's executor found no work anywhere — own ring and
-    /// every sibling ring empty — and parked briefly before rescanning.
+    /// every sibling ring empty — and really parked (`park_timeout`, a
+    /// syscall) before rescanning. An idle wait that ended while still
+    /// spinning is not counted.
     pub idle_parks: u64,
     /// Deepest queue observed behind this shard's submissions. Merging
     /// takes the max, like `cycles`.
@@ -625,7 +627,7 @@ impl ShardedStats {
 /// A windowed, concurrency-safe p99 queue-wait estimator — the sensor of
 /// SLO-aware adaptive admission.
 ///
-/// Executors [`record`](Self::record) the queue wait of every request they
+/// Executors [`record_at`](Self::record_at) the queue wait of every request they
 /// pop; admission control reads [`p99`](Self::p99) on every submission.
 /// Internally the estimator keeps one window's samples in an atomic
 /// log-bucketed count array (same bucket geometry as
@@ -695,15 +697,13 @@ impl QueueWaitEstimator {
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        self.created.elapsed().as_nanos() as u64
-    }
-
-    /// Record one queue-wait sample (nanoseconds). O(1), lock-free.
-    pub fn record(&self, v: u64) {
+    /// Record one queue-wait sample (nanoseconds). O(1), lock-free, and
+    /// reads no clock: `now` is the reading the caller already holds (the
+    /// executor's completion stamp), used to close the window when due.
+    pub fn record_at(&self, v: u64, now: std::time::Instant) {
         use std::sync::atomic::Ordering;
         self.counts[crate::hist::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.maybe_rotate();
+        self.maybe_rotate(now);
     }
 
     /// The p99 queue wait of the last completed window, nanoseconds
@@ -711,7 +711,7 @@ impl QueueWaitEstimator {
     /// advances the window if it has elapsed, so a traffic drought decays
     /// the estimate instead of freezing it.
     pub fn p99(&self) -> u64 {
-        self.maybe_rotate();
+        self.maybe_rotate(std::time::Instant::now());
         self.cached_p99.load(std::sync::atomic::Ordering::Relaxed)
     }
 
@@ -724,9 +724,9 @@ impl QueueWaitEstimator {
     /// Close the window if it has elapsed: sweep the bucket counts (one
     /// atomic swap each), fold them into `cached_p99`, and start the next
     /// window. Exactly one thread wins the CAS per rotation.
-    fn maybe_rotate(&self) {
+    fn maybe_rotate(&self, now: std::time::Instant) {
         use std::sync::atomic::Ordering;
-        let now = self.now_ns();
+        let now = now.saturating_duration_since(self.created).as_nanos() as u64;
         let start = self.window_start.load(Ordering::Relaxed);
         if now.wrapping_sub(start) < self.window_ns {
             return;
@@ -1254,8 +1254,9 @@ mod tests {
         // cached estimate stays at its pre-window value until the window
         // elapses.
         let est = QueueWaitEstimator::new(u64::MAX / 2);
-        est.record(50);
-        est.record(5_000);
+        let now = std::time::Instant::now();
+        est.record_at(50, now);
+        est.record_at(5_000, now);
         assert_eq!(est.p99(), 0, "window still open: cache unchanged");
         assert_eq!(est.last_window_samples(), 0);
     }
@@ -1268,7 +1269,7 @@ mod tests {
                 let est = std::sync::Arc::clone(&est);
                 s.spawn(move || {
                     for i in 0..20_000u64 {
-                        est.record(1_000 + (t * 7 + i) % 64);
+                        est.record_at(1_000 + (t * 7 + i) % 64, std::time::Instant::now());
                     }
                 });
             }

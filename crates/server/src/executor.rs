@@ -18,11 +18,14 @@
 //! the same hot key — route through the same
 //! [`ConflictArbiter`](tcp_core::engine::ConflictArbiter) wait/abort
 //! machinery as every other conflict; placement changes, policy does not.
-//! When nothing is claimable anywhere, the executor parks briefly on its
-//! own ring ([`ShardQueue::park_consumer_timeout`]) and rescans, because
-//! a backlog appearing on a sibling ring never unparks it directly.
-//! Steals and idle parks are counted per shard (`EngineStats::steals`,
-//! `EngineStats::idle_parks`).
+//! When nothing is claimable anywhere, the executor waits briefly on its
+//! own ring ([`ShardQueue::park_consumer_timeout`]: spin for the wake
+//! cost, then park) and rescans, because a backlog appearing on a sibling
+//! ring never unparks it directly. Steals and idle parks are counted per
+//! shard (`EngineStats::steals`, `EngineStats::idle_parks`);
+//! `idle_parks` counts *real* parks only — a wait that a push ended while
+//! the executor was still spinning cost nobody a park/unpark and is not
+//! one.
 //!
 //! The executor is also where latency is measured and decomposed:
 //!
@@ -190,8 +193,9 @@ pub fn run_executor<P: GracePolicy>(
             if queues.iter().all(|q| q.is_finished()) {
                 break;
             }
-            ctx.stats.idle_parks += 1;
-            own.park_consumer_timeout(idle_park);
+            if own.park_consumer_timeout(idle_park) {
+                ctx.stats.idle_parks += 1;
+            }
             idle_park = (idle_park * 2).min(IDLE_PARK_MAX);
             continue;
         }
@@ -361,7 +365,7 @@ fn record_envelope<P: GracePolicy>(
         .as_nanos() as u64;
     let done = Instant::now();
     let service = done.saturating_duration_since(service_start).as_nanos() as u64;
-    source.record_queue_wait(queue_wait);
+    source.record_queue_wait(queue_wait, done);
     ctx.stats.record_queue_wait(queue_wait);
     ctx.stats.record_service(service);
     ctx.stats
@@ -729,6 +733,54 @@ mod tests {
             assert_eq!(cell.take(), Response::Added(1));
             assert_eq!(cell.faults(), (0, 0));
         }
+    }
+
+    #[test]
+    fn idle_parks_counts_real_parks_only() {
+        // Work that is already there ends every idle wait at its first
+        // check: the executor drains and exits without one park.
+        let stm = Stm::new(64, 1);
+        let (queue, _cells) = filled_queue(0..10);
+        queue.close();
+        let stats = run_executor(
+            &stm,
+            NoDelay::requestor_aborts(),
+            Xoshiro256StarStar::new(1),
+            &[queue],
+            &drain_config(0, true),
+        );
+        assert_eq!((stats.commits, stats.idle_parks), (10, 0));
+
+        // An open, idle ring: the executor spins out its budget and parks.
+        // A push made once it *is* parked is still served, and that park
+        // is counted.
+        let queue = Arc::new(ShardQueue::new(8));
+        let cell = Arc::new(ReplyCell::new());
+        let stats = std::thread::scope(|s| {
+            let queues = [Arc::clone(&queue)];
+            let stm = &stm;
+            let executor = s.spawn(move || {
+                run_executor(
+                    stm,
+                    NoDelay::requestor_aborts(),
+                    Xoshiro256StarStar::new(2),
+                    &queues,
+                    &drain_config(0, true),
+                )
+            });
+            while !queue.consumer_parked() {
+                std::thread::yield_now();
+            }
+            let gen = cell.issue();
+            queue
+                .try_push(Envelope::new(Request::Add(20, 1), Arc::clone(&cell), gen))
+                .unwrap_or_else(|_| panic!("push"));
+            assert_eq!(cell.take(), Response::Added(1));
+            queue.close();
+            executor.join().unwrap()
+        });
+        assert_eq!(stats.commits, 1);
+        assert!(stats.idle_parks >= 1, "the park before the push counts");
     }
 
     #[test]

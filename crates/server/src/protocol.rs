@@ -122,6 +122,34 @@ pub enum Response {
     ManySum(u64),
 }
 
+impl Response {
+    /// The response as two plain words (variant, payload) — the form the
+    /// reply cell's atomic slot stores.
+    pub(crate) fn to_words(self) -> (u64, u64) {
+        match self {
+            Response::Value(v) => (0, v),
+            Response::Written => (1, 0),
+            Response::Added(v) => (2, v),
+            Response::RmwSum(v) => (3, v),
+            Response::RangeSum(v) => (4, v),
+            Response::ManySum(v) => (5, v),
+        }
+    }
+
+    /// Inverse of [`to_words`](Self::to_words).
+    pub(crate) fn from_words(kind: u64, value: u64) -> Self {
+        match kind {
+            0 => Response::Value(value),
+            1 => Response::Written,
+            2 => Response::Added(value),
+            3 => Response::RmwSum(value),
+            4 => Response::RangeSum(value),
+            5 => Response::ManySum(value),
+            _ => unreachable!("reply slots hold only words from to_words, got kind {kind}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,10 +3,24 @@
 //!
 //! Each shard owns one [`ShardQueue`]: a hand-rolled bounded ring in the
 //! style of Vyukov's bounded queue (per-slot sequence numbers, CAS on the
-//! producer cursor) with `thread::park`/`unpark` for the idle shard
-//! worker — no `Mutex`, no `Condvar` on the request path, which is exactly
-//! the concern of "Are Lock-Free Concurrent Algorithms Practically
-//! Wait-Free?": under load the synchronization substrate itself dominates.
+//! producer cursor). Replies travel back through a [`ReplyCell`]: one
+//! packed atomic state word over a two-word slot. Neither takes a lock,
+//! and the side that hands over (`try_push`, `put`) makes no syscall unless
+//! the other side is really parked — which is exactly the concern of "Are
+//! Lock-Free Concurrent Algorithms Practically Wait-Free?": under load the
+//! synchronization substrate itself dominates.
+//!
+//! Both places the request path can block — the ring's owner on an empty
+//! ring, the client on an empty cell — go through the one `Waiter`: re-check
+//! for `SPIN_BUDGET` (20 µs, the measured cost of a park/unpark round
+//! trip) with a `yield_now` before each check, then `thread::park`; a
+//! thread that finds its core shared skips the spin and parks at once.
+//! Every other wait in this file — for a producer mid-publish, for a `put`
+//! mid-store — is the same re-check-and-yield. The one remaining `Mutex`
+//! of the request path sits in the `Waiter`, on the slow path only: the
+//! waiter locks it to register its `Thread` handle just before parking,
+//! and a waker locks it only after it has seen the `parked` flag set, i.e.
+//! when it is about to pay the `unpark` syscall anyway.
 //!
 //! The consumer side is **steal-safe**: the head cursor is CAS-claimed,
 //! so besides the owning shard executor, idle sibling executors may pop
@@ -26,15 +40,15 @@
 //! `crate::router`) reads its windowed p99 to decide whether to shed
 //! *before* the ring fills.
 //!
-//! Responses travel back through a reusable [`ReplyCell`] per client slot,
+//! The [`ReplyCell`] is reused across requests of one client slot and
 //! tagged with a per-request generation so a double-delivery or a stale
 //! delivery is *reported* (counted, surfaced in `ServeReport`) instead of
 //! silently dropped or `debug_assert`ed away.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -63,6 +77,178 @@ impl Envelope {
             gen,
             enqueued_at: Instant::now(),
         }
+    }
+}
+
+/// How long a [`Waiter`] spins before it parks: the measured cost of one
+/// park/unpark round trip on the request path (`queue.wake_us` ≈
+/// `queue.reply_wake_us` ≈ 19 µs in the repo benchmark).
+///
+/// Spin-or-park is ski rental — the paper's requestor-aborts case with the
+/// park/unpark price as the abort cost `B`: keep paying rent (spin) until
+/// the rent paid equals `B`, then buy (park). That deterministic
+/// break-even rule never pays more than twice what an oracle that knew the
+/// arrival time would have, and no deterministic rule does better.
+///
+/// That bound assumes the rent is paid by the spinner alone, so the spin
+/// is only worth its price on a core nobody else wants; [`Waiter::wait`]
+/// says how it finds out and what it does when the core is shared.
+const SPIN_BUDGET: Duration = Duration::from_micros(20);
+
+/// Most waits in a row a thread parks without spinning after it lost its
+/// core while spinning (see [`Waiter::wait`]).
+const MAX_CROWDED_WAITS: u32 = 1 << 16;
+
+/// How many waits a new thread parks without spinning before its first
+/// spin phase: until it has tried, it knows nothing about its core, and
+/// parking at once — what the `Condvar` this replaced always did — is the
+/// guess that cannot stall anybody.
+const FIRST_CROWDED_WAITS: u32 = 64;
+
+thread_local! {
+    /// What this thread knows about its core, as `(skip, penalty)`: the
+    /// next `skip` waits park at once, and `penalty` is the `skip` the
+    /// latest lost core was charged (the next one in a row is charged four
+    /// times that).
+    static CROWDED: Cell<(u32, u32)> =
+        const { Cell::new((FIRST_CROWDED_WAITS, FIRST_CROWDED_WAITS)) };
+}
+
+/// The waits to park without spinning after one spin step took `step`
+/// (≥ [`SPIN_BUDGET`]: the thread was off its core): one per budget lost,
+/// or four times the previous charge if that is more.
+fn crowded_waits(penalty: u32, step: Duration) -> u32 {
+    let budgets_lost = (step.as_nanos() / SPIN_BUDGET.as_nanos()).min(MAX_CROWDED_WAITS as u128);
+    penalty
+        .saturating_mul(4)
+        .max(budgets_lost as u32)
+        .min(MAX_CROWDED_WAITS)
+}
+
+/// The one spin-then-park wait of the request path, shared by the ring's
+/// owner ([`ShardQueue::pop`], [`ShardQueue::park_consumer_timeout`]) and
+/// the reply cell's client ([`ReplyCell::take`]). One thread waits at a
+/// time; any number of threads wake.
+///
+/// Lost-wake-up freedom is a Dekker pair, all `SeqCst`: the waiter stores
+/// `parked = true` and *then* re-checks its condition; a waker makes the
+/// condition true and *then* loads `parked`. In the single total order one
+/// of the two must see the other's store — either the waiter finds its
+/// condition true and skips the park, or the waker finds `parked` set and
+/// unparks (and `unpark` tokens are sticky, so an unpark that lands before
+/// the `park` call is not lost either).
+#[derive(Default)]
+struct Waiter {
+    /// True while the waiting thread is parked or about to park. Wakers
+    /// clear it with a swap so only one of them pays the unpark syscall.
+    parked: AtomicBool,
+    /// Handle of the thread that last took the slow path. The only lock on
+    /// the request path; see the module doc for who takes it when.
+    thread: Mutex<Option<Thread>>,
+}
+
+impl Waiter {
+    /// Wait until `ready()` holds, `timeout` elapses, or a parked wait is
+    /// woken (possibly spuriously — callers re-check and loop). The caller
+    /// has just seen `ready()` false. Returns whether the thread really
+    /// parked: `false` means `ready()` came true while spinning, and nobody
+    /// paid for a park/unpark.
+    ///
+    /// The spin phase lasts [`SPIN_BUDGET`] and calls `yield_now` before
+    /// every check, so the *waiting* side makes one `sched_yield` syscall
+    /// per check; it is the waker's side that is syscall-free. The yield
+    /// is how the waiter learns whether its spinning is free. On a core
+    /// nobody else wants it comes straight back (~0.2 µs, which also
+    /// spaces the polls of a line the waker is about to write). On a
+    /// shared core it gives the core away, and when one such step alone
+    /// outlasts the whole budget the thread was not paying rent, it was
+    /// off the core: here a spin delays the very threads it waits for, and
+    /// a thread that sits runnable in a yield is never moved to an idle
+    /// core the way a woken one is. So the thread goes on to park, and
+    /// parks at once — like the `Condvar` this replaced — for its next
+    /// [`crowded_waits`] waits, after which it tries a spin phase again; a
+    /// spin phase that keeps its core clears the charge. A new thread
+    /// starts out parking ([`FIRST_CROWDED_WAITS`]).
+    ///
+    /// Measured on 2 cores: with 6 threads (open loop, clients pacing by
+    /// spinning) this holds queue waits at the `Condvar`'s level where
+    /// spinning regardless cost 4-5x at the median; a stray 20-40 µs
+    /// hypervisor pause on an otherwise own core costs one or two parked
+    /// waits.
+    fn wait(&self, timeout: Option<Duration>, mut ready: impl FnMut() -> bool) -> bool {
+        let start = Instant::now();
+        let budget = timeout.map_or(SPIN_BUDGET, |t| t.min(SPIN_BUDGET));
+        let (skip, penalty) = CROWDED.get();
+        if skip > 0 {
+            CROWDED.set((skip - 1, penalty));
+        } else {
+            let mut last = start;
+            loop {
+                std::thread::yield_now();
+                let now = Instant::now();
+                let step = now - last;
+                if step >= SPIN_BUDGET {
+                    let waits = crowded_waits(penalty, step);
+                    CROWDED.set((waits, waits));
+                    break;
+                }
+                // The step kept the core: spinning here is free again.
+                CROWDED.set((0, 0));
+                if ready() {
+                    return false;
+                }
+                if now - start >= budget {
+                    break;
+                }
+                last = now;
+            }
+            if timeout.is_some_and(|t| start.elapsed() >= t) {
+                return false;
+            }
+        }
+        // Every write leaves the slot a valid `Option<Thread>`, so a
+        // poisoned lock (a thread died while holding it) is still usable.
+        *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
+        self.parked.store(true, Ordering::SeqCst);
+        if ready() {
+            self.parked.store(false, Ordering::SeqCst);
+            return false;
+        }
+        match timeout {
+            None => std::thread::park(),
+            Some(t) => std::thread::park_timeout(t.saturating_sub(start.elapsed())),
+        }
+        self.parked.store(false, Ordering::SeqCst);
+        true
+    }
+
+    /// Unpark the waiter if it is (about to be) parked. Call *after* the
+    /// `SeqCst` store that makes its condition true. The common case —
+    /// nobody parked — is one load of a line nobody is writing.
+    fn wake(&self) {
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
+            let thread = self
+                .thread
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            if let Some(t) = thread {
+                t.unpark();
+            }
+        }
+    }
+}
+
+/// Pads and aligns `T` to a cache line of its own, so a word one side
+/// writes on every operation does not share a line with what the other
+/// side reads.
+#[repr(align(64))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 
@@ -98,17 +284,16 @@ pub struct ShardQueue {
     /// Producer ticket cursor, with [`CLOSED_BIT`] folded into the same
     /// word: the ticket CAS and the closed check are one atomic step, so
     /// no producer can win a ticket after `close()` — closing is a true
-    /// linearization point, not a racy flag read.
-    tail: AtomicUsize,
+    /// linearization point, not a racy flag read. Written on every push,
+    /// so it has a cache line to itself.
+    tail: CachePadded<AtomicUsize>,
     /// Consumer position, CAS-claimed by the owner and by stealers.
-    head: AtomicUsize,
-    /// The owning consumer thread's handle, registered on its first
-    /// blocking pop so producers can unpark it. Stealers never park and
-    /// never register here.
-    consumer: OnceLock<Thread>,
-    /// True while the owner is parked (or about to park); producers clear
-    /// it with a swap so only one of them pays the unpark syscall.
-    sleeping: AtomicBool,
+    /// Written on every pop, so it too has a line to itself; everything
+    /// below is read-mostly on the request path.
+    head: CachePadded<AtomicUsize>,
+    /// Where the owning consumer waits on an empty ring. Stealers never
+    /// wait here.
+    consumer: Waiter,
     /// High-water mark of the post-push depth snapshots — the per-shard
     /// backlog indicator the skew bench reports.
     depth_max: AtomicU64,
@@ -148,10 +333,9 @@ impl ShardQueue {
                 .collect(),
             mask: ring - 1,
             capacity,
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
-            consumer: OnceLock::new(),
-            sleeping: AtomicBool::new(false),
+            tail: CachePadded(AtomicUsize::new(0)),
+            head: CachePadded(AtomicUsize::new(0)),
+            consumer: Waiter::default(),
             depth_max: AtomicU64::new(0),
             estimator: QueueWaitEstimator::default(),
         }
@@ -166,9 +350,10 @@ impl ShardQueue {
     /// popped from this ring, feeding the windowed p99 the router's
     /// SLO-aware admission reads. Called by whichever executor popped the
     /// envelope — owner or stealer — so the sensor tracks the ring the
-    /// request actually waited in.
-    pub fn record_queue_wait(&self, ns: u64) {
-        self.estimator.record(ns);
+    /// request actually waited in. `now` is the clock reading the caller
+    /// already holds (it closes the estimator's window when due).
+    pub fn record_queue_wait(&self, ns: u64, now: Instant) {
+        self.estimator.record_at(ns, now);
     }
 
     /// Windowed p99 queue wait of this ring, nanoseconds (see
@@ -206,7 +391,14 @@ impl ShardQueue {
             // advances, so a depth that passes here can only have shrunk by
             // the time the CAS wins: the bound is never exceeded.
             let head = self.head.load(Ordering::SeqCst);
-            if tail.wrapping_sub(head) >= self.capacity {
+            let depth = tail.wrapping_sub(head) as isize;
+            if depth < 0 {
+                // `head` was read after `tail` and has already passed it:
+                // the ticket snapshot is stale, not the ring full.
+                tail_word = self.tail.load(Ordering::SeqCst);
+                continue;
+            }
+            if depth as usize >= self.capacity {
                 return Err(env);
             }
             let slot = &self.slots[tail & self.mask];
@@ -231,8 +423,12 @@ impl ShardQueue {
                             let depth = ((tail + 1).wrapping_sub(head_now) as isize)
                                 .clamp(0, self.capacity as isize)
                                 as usize;
-                            self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
-                            self.wake_consumer();
+                            // Test before the RMW: once the mark is up,
+                            // pushes only read this line.
+                            if depth as u64 > self.depth_max.load(Ordering::Relaxed) {
+                                self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
+                            }
+                            self.consumer.wake();
                             return Ok(depth);
                         }
                         Err(t) => tail_word = t,
@@ -355,35 +551,37 @@ impl ShardQueue {
         self.tail.load(Ordering::SeqCst) & CLOSED_BIT != 0
     }
 
-    /// Owner-only idle wait with a deadline: park until a producer pushes,
-    /// the queue closes, or `timeout` elapses — whichever comes first.
-    /// The work-stealing executor uses this between steal scans so a
-    /// backlog appearing on a *sibling* ring (which never unparks this
-    /// thread) is still noticed within `timeout`.
-    pub fn park_consumer_timeout(&self, timeout: Duration) {
-        let _ = self.consumer.set(std::thread::current());
-        self.sleeping.store(true, Ordering::SeqCst);
-        // Recheck under the sleeping flag (same lost-wakeup protocol as
-        // `block_until_ready`): anything already available or a concurrent
-        // close skips the park entirely.
-        let tail_word = self.tail.load(Ordering::SeqCst);
-        if self.head.load(Ordering::SeqCst) != tail_word & TICKET_MASK
-            || tail_word & CLOSED_BIT != 0
-        {
-            self.sleeping.store(false, Ordering::SeqCst);
-            return;
-        }
-        std::thread::park_timeout(timeout);
-        self.sleeping.store(false, Ordering::SeqCst);
+    /// Owner-only idle wait with a deadline: spin, then park, until a
+    /// producer pushes, the queue closes, or `timeout` elapses — whichever
+    /// comes first. The work-stealing executor uses this between steal
+    /// scans so a backlog appearing on a *sibling* ring (which never
+    /// unparks this thread) is still noticed within `timeout`. Returns
+    /// whether the thread really parked (`false`: the wait ended while
+    /// spinning).
+    pub fn park_consumer_timeout(&self, timeout: Duration) -> bool {
+        self.consumer
+            .wait(Some(timeout), || self.claimable_or_closed())
     }
 
-    /// Park until the envelope at `head` is published. Returns `false`
+    /// Whether the owner is parked (or committed to parking) right now —
+    /// lets tests act at exactly that point instead of sleeping.
+    #[cfg(test)]
+    pub(crate) fn consumer_parked(&self) -> bool {
+        self.consumer.parked.load(Ordering::SeqCst)
+    }
+
+    /// The owner's wake-up condition: a ticket is won that no consumer has
+    /// claimed yet, or the queue is closed.
+    fn claimable_or_closed(&self) -> bool {
+        let tail_word = self.tail.load(Ordering::SeqCst);
+        self.head.load(Ordering::SeqCst) != tail_word & TICKET_MASK || tail_word & CLOSED_BIT != 0
+    }
+
+    /// Wait until the envelope at `head` is published. Returns `false`
     /// when the queue is closed and fully drained — the worker's exit
     /// signal (exact, because the closed bit shares the ticket word: once
     /// set, no further ticket can be won, so `head == tickets` is final).
     fn block_until_ready(&self) -> bool {
-        let _ = self.consumer.set(std::thread::current());
-        let mut spins = 0u32;
         loop {
             let head = self.head.load(Ordering::SeqCst);
             let tail_word = self.tail.load(Ordering::SeqCst);
@@ -391,45 +589,18 @@ impl ShardQueue {
                 // A ticket is reserved. If its payload is published the
                 // caller can pop right away; otherwise the producer is
                 // mid-publish (at most a few instructions, unless it got
-                // descheduled) — spin politely, then yield the core to it.
+                // descheduled — so offer it the core).
                 if self.slots[head & self.mask].seq.load(Ordering::Acquire) == head.wrapping_add(1)
                 {
                     return true;
                 }
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                std::thread::yield_now();
                 continue;
             }
             if tail_word & CLOSED_BIT != 0 {
                 return false; // closed and every won ticket consumed
             }
-            self.sleeping.store(true, Ordering::SeqCst);
-            // Recheck under the sleeping flag to close the lost-wakeup
-            // window: any producer that publishes after this point sees
-            // `sleeping == true` and unparks us (and unpark tokens are
-            // sticky, so even a pre-park unpark is not lost).
-            let tail_word = self.tail.load(Ordering::SeqCst);
-            if self.head.load(Ordering::SeqCst) != tail_word & TICKET_MASK
-                || tail_word & CLOSED_BIT != 0
-            {
-                self.sleeping.store(false, Ordering::SeqCst);
-                continue;
-            }
-            std::thread::park();
-            self.sleeping.store(false, Ordering::SeqCst);
-        }
-    }
-
-    /// Unpark the consumer if it is (about to be) parked.
-    fn wake_consumer(&self) {
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self.consumer.get() {
-                t.unpark();
-            }
+            self.consumer.wait(None, || self.claimable_or_closed());
         }
     }
 
@@ -439,11 +610,7 @@ impl ShardQueue {
     /// ticket before this call (and will be drained) or sheds.
     pub fn close(&self) {
         self.tail.fetch_or(CLOSED_BIT, Ordering::SeqCst);
-        // Unconditional unpark: the consumer must observe the bit even if
-        // it raced past the sleeping flag.
-        if let Some(t) = self.consumer.get() {
-            t.unpark();
-        }
+        self.consumer.wake();
     }
 }
 
@@ -469,14 +636,16 @@ pub enum PutStatus {
     Stale,
 }
 
-#[derive(Default)]
-struct CellState {
-    /// Generation of the request currently allowed to deliver here.
-    gen: u64,
-    slot: Option<Response>,
-    duplicate_puts: u64,
-    stale_puts: u64,
-}
+/// Low bits of the cell's state word: the slot's phase within the
+/// generation held by the remaining bits.
+const TAG_BITS: u32 = 2;
+const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
+/// No response for this generation (none yet, or already taken).
+const EMPTY: u64 = 0;
+/// One `put` won this generation and is storing its response.
+const WRITING: u64 = 1;
+/// The response is published and not yet taken.
+const FULL: u64 = 2;
 
 /// A one-slot rendezvous for a client's outstanding request, reusable
 /// across requests via a generation tag.
@@ -487,10 +656,32 @@ struct CellState {
 /// generation the matching [`put`](Self::put) must present; mismatches and
 /// double-deliveries are counted, not asserted, and surfaced through
 /// [`faults`](Self::faults).
+///
+/// The whole protocol is one word, `gen << 2 | tag`:
+///
+/// ```text
+///  issue: (g, EMPTY|FULL) ─CAS─▶ (g+1, EMPTY)     waits out WRITING
+///  put:   (g, EMPTY) ─CAS─▶ (g, WRITING) ─store─▶ (g, FULL) ─▶ wake
+///         any other gen ⇒ Stale; WRITING/FULL at g ⇒ Duplicate
+///  take:  (g, FULL) ─read slot, CAS─▶ (g, EMPTY)  spins, then parks, until FULL
+/// ```
+///
+/// The generation only grows, so a state word never recurs across an
+/// `issue`: the CAS that ends `take` succeeds only if nothing touched the
+/// cell since the `FULL` it read the slot under, which is what makes the
+/// slot read untorn. The slot words are written only between a won
+/// `WRITING` CAS and the `FULL` store, by that one thread. One thread at a
+/// time may wait in `take` (the cell belongs to one client slot); every
+/// other interleaving of the three calls from any threads is allowed.
 #[derive(Default)]
 pub struct ReplyCell {
-    state: Mutex<CellState>,
-    ready: Condvar,
+    state: AtomicU64,
+    /// The response, as `Response::to_words` splits it.
+    kind: AtomicU64,
+    value: AtomicU64,
+    waiter: Waiter,
+    duplicate_puts: AtomicU64,
+    stale_puts: AtomicU64,
 }
 
 impl ReplyCell {
@@ -501,45 +692,104 @@ impl ReplyCell {
     /// Arm the cell for the next request: bump the generation, clear any
     /// undelivered (now stale) response, and return the new tag.
     pub fn issue(&self) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        st.gen += 1;
-        st.slot = None;
-        st.gen
+        let mut s = self.state.load(Ordering::Acquire);
+        loop {
+            if s & TAG_MASK == WRITING {
+                // A put is two stores from done (unless descheduled, so
+                // offer it the core): bumping now would let the next put
+                // write beside it.
+                std::thread::yield_now();
+                s = self.state.load(Ordering::Acquire);
+                continue;
+            }
+            let gen = (s >> TAG_BITS) + 1;
+            // AcqRel: carries the previous take's slot reads (its Release
+            // CAS) forward to the next put's Acquire CAS.
+            match self.state.compare_exchange_weak(
+                s,
+                gen << TAG_BITS | EMPTY,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return gen,
+                Err(cur) => s = cur,
+            }
+        }
     }
 
-    /// Deliver the response for generation `gen` (worker side).
+    /// Deliver the response for generation `gen` (worker side). Never
+    /// blocks; makes a syscall only when the client is parked in `take`.
     pub fn put(&self, gen: u64, resp: Response) -> PutStatus {
-        let mut st = self.state.lock().unwrap();
-        if gen != st.gen {
-            st.stale_puts += 1;
-            return PutStatus::Stale;
+        let mut s = self.state.load(Ordering::Acquire);
+        loop {
+            if s >> TAG_BITS != gen {
+                self.stale_puts.fetch_add(1, Ordering::Relaxed);
+                return PutStatus::Stale;
+            }
+            if s & TAG_MASK != EMPTY {
+                self.duplicate_puts.fetch_add(1, Ordering::Relaxed);
+                return PutStatus::Duplicate;
+            }
+            // Acquire: the slot stores below come after every earlier
+            // reader's loads (released by the CAS ending its `take`).
+            match self.state.compare_exchange_weak(
+                s,
+                s | WRITING,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(cur) => s = cur,
+            }
         }
-        if st.slot.is_some() {
-            st.duplicate_puts += 1;
-            return PutStatus::Duplicate;
-        }
-        st.slot = Some(resp);
-        drop(st);
-        self.ready.notify_one();
+        let (kind, value) = resp.to_words();
+        self.kind.store(kind, Ordering::Relaxed);
+        self.value.store(value, Ordering::Relaxed);
+        // Nobody else moves a WRITING word, so a plain store publishes.
+        // SeqCst: Release for the slot words, and the store half of the
+        // waiter's Dekker pair (`wake` loads `parked` next).
+        self.state.store(gen << TAG_BITS | FULL, Ordering::SeqCst);
+        self.waiter.wake();
         PutStatus::Delivered
     }
 
-    /// Block until the current generation's response arrives and take it
-    /// (client side).
+    /// Wait (spin, then park) until the current generation's response
+    /// arrives and take it (client side).
     pub fn take(&self) -> Response {
-        let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(resp) = st.slot.take() {
-                return resp;
+            let s = self.state.load(Ordering::Acquire);
+            if s & TAG_MASK != FULL {
+                self.waiter.wait(None, || {
+                    self.state.load(Ordering::SeqCst) & TAG_MASK == FULL
+                });
+                continue;
             }
-            st = self.ready.wait(st).unwrap();
+            let kind = self.kind.load(Ordering::Relaxed);
+            let value = self.value.load(Ordering::Relaxed);
+            // Release keeps the two loads above before the CAS. Failure
+            // means the cell was reissued meanwhile: what was read belongs
+            // to an abandoned generation, so wait for the current one.
+            if self
+                .state
+                .compare_exchange(
+                    s,
+                    s & !TAG_MASK | EMPTY,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+            {
+                return Response::from_words(kind, value);
+            }
         }
     }
 
     /// Misdelivery counters: `(duplicate_puts, stale_puts)`.
     pub fn faults(&self) -> (u64, u64) {
-        let st = self.state.lock().unwrap();
-        (st.duplicate_puts, st.stale_puts)
+        (
+            self.duplicate_puts.load(Ordering::Relaxed),
+            self.stale_puts.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -692,5 +942,342 @@ mod tests {
         let gen2 = cell.issue();
         assert_eq!(cell.put(gen2, Response::Added(2)), PutStatus::Delivered);
         assert_eq!(cell.take(), Response::Added(2));
+    }
+
+    /// Yield until `cond` holds: how these tests pin an interleaving (the
+    /// peer *is* parked, the peer *has* entered the call) without sleeping.
+    fn wait_for(cond: impl Fn() -> bool) {
+        let mut spins = 0u32;
+        while !cond() {
+            spins += 1;
+            if spins.is_multiple_of(256) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    /// A response whose payload names its own variant, so a slot read torn
+    /// between two rounds (variant of one, payload of the other) shows.
+    fn round_response(round: u64) -> Response {
+        let v = round * 8 + round % 6;
+        match round % 6 {
+            0 => Response::Value(v),
+            1 => Response::Written,
+            2 => Response::Added(v),
+            3 => Response::RmwSum(v),
+            4 => Response::RangeSum(v),
+            _ => Response::ManySum(v),
+        }
+    }
+
+    #[test]
+    fn response_words_roundtrip_every_variant() {
+        for round in 0..12 {
+            let resp = round_response(round);
+            let (kind, value) = resp.to_words();
+            assert_eq!(Response::from_words(kind, value), resp);
+        }
+    }
+
+    /// Let the calling thread's next wait start with a spin phase, as on a
+    /// thread that has found its core its own (new threads park at once).
+    fn spin_on_the_next_wait() {
+        CROWDED.set((0, 0));
+    }
+
+    #[test]
+    fn a_lost_core_is_charged_per_budget_lost_and_fourfold_in_a_row() {
+        let budgets = |n: u32| SPIN_BUDGET * n;
+        // A pause barely over the budget costs one parked wait; a scheduler
+        // slice behind a busy neighbour costs as many as it was worth.
+        assert_eq!(crowded_waits(0, budgets(1)), 1);
+        assert_eq!(crowded_waits(0, budgets(150)), 150);
+        // Losing the core again right after the parked stretch: four times
+        // the last charge, unless this loss alone was worth more.
+        assert_eq!(crowded_waits(150, budgets(2)), 600);
+        assert_eq!(crowded_waits(4, budgets(100)), 100);
+        assert_eq!(
+            crowded_waits(MAX_CROWDED_WAITS, budgets(1)),
+            MAX_CROWDED_WAITS
+        );
+        assert_eq!(crowded_waits(u32::MAX, budgets(1)), MAX_CROWDED_WAITS);
+    }
+
+    #[test]
+    fn a_new_thread_parks_at_once_until_its_first_spin_phase() {
+        std::thread::spawn(|| {
+            let q = ShardQueue::new(4);
+            assert!(q.park_consumer_timeout(Duration::from_micros(50)));
+            assert_eq!(
+                CROWDED.get(),
+                (FIRST_CROWDED_WAITS - 1, FIRST_CROWDED_WAITS),
+                "the wait went straight to the park and used up one of the first waits"
+            );
+            // A wait that starts with a spin phase leaves a verdict either
+            // way: the core was kept (charge cleared) or lost (charged).
+            spin_on_the_next_wait();
+            q.park_consumer_timeout(Duration::from_micros(50));
+            let (skip, penalty) = CROWDED.get();
+            assert_eq!(skip, penalty);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn reply_cell_ping_pong_spin_and_park_paths() {
+        // main → ping → echo thread → pong → main, 100k rounds. Every 64th
+        // round each putter holds its put until the peer's waiter says
+        // "parked", so that take goes down the park path with the put
+        // landing right at the Dekker window; every other round the reply
+        // arrives within the spin budget (both threads start out spinning;
+        // one that loses its core to the rest of the test run parks at once
+        // for a stretch, as designed). A lost wake-up hangs the test, a lost
+        // or torn response fails the equality.
+        const ROUNDS: u64 = 100_000;
+        const PARK_EVERY: u64 = 64;
+        let ping = Arc::new(ReplyCell::new());
+        let pong = Arc::new(ReplyCell::new());
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            std::thread::spawn(move || {
+                spin_on_the_next_wait();
+                for round in 0..ROUNDS {
+                    let resp = ping.take();
+                    if round % PARK_EVERY == 0 {
+                        wait_for(|| pong.waiter.parked.load(Ordering::SeqCst));
+                    }
+                    // main issues each cell once per round: gen = round + 1.
+                    assert_eq!(pong.put(round + 1, resp), PutStatus::Delivered);
+                }
+            })
+        };
+        spin_on_the_next_wait();
+        for round in 0..ROUNDS {
+            let (ping_gen, pong_gen) = (ping.issue(), pong.issue());
+            assert_eq!((ping_gen, pong_gen), (round + 1, round + 1));
+            if round % PARK_EVERY == 0 {
+                wait_for(|| ping.waiter.parked.load(Ordering::SeqCst));
+            }
+            assert_eq!(
+                ping.put(ping_gen, round_response(round)),
+                PutStatus::Delivered
+            );
+            assert_eq!(pong.take(), round_response(round), "round {round}");
+        }
+        echo.join().unwrap();
+        assert_eq!(ping.faults(), (0, 0));
+        assert_eq!(pong.faults(), (0, 0));
+    }
+
+    #[test]
+    fn reply_cell_put_racing_issue_is_delivered_or_stale() {
+        // Per round: main reissues the cell while the putter thread puts
+        // the generation being abandoned, both released together (main
+        // staggers itself by a few spins so either side wins some rounds).
+        // The put either lands first (Delivered, then discarded by the
+        // reissue) or loses (Stale, counted) — and in both cases the new
+        // generation starts empty.
+        const ROUNDS: u64 = 20_000;
+        let cell = &ReplyCell::new();
+        let (go, done) = (&AtomicU64::new(0), &AtomicU64::new(0));
+        let statuses = std::thread::scope(|s| {
+            let putter = s.spawn(move || {
+                (0..ROUNDS)
+                    .map(|round| {
+                        wait_for(|| go.load(Ordering::SeqCst) > round);
+                        let old = 2 * round + 1;
+                        let status = cell.put(old, Response::Value(old));
+                        done.fetch_add(1, Ordering::SeqCst);
+                        status
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for round in 0..ROUNDS {
+                let old = cell.issue();
+                go.store(round + 1, Ordering::SeqCst);
+                for _ in 0..round % 8 {
+                    std::hint::spin_loop();
+                }
+                assert_eq!(cell.issue(), old + 1);
+                wait_for(|| done.load(Ordering::SeqCst) > round);
+                // The abandoned reply must not leak into the new generation.
+                let fresh = Response::Added(old);
+                assert_eq!(cell.put(old + 1, fresh), PutStatus::Delivered);
+                assert_eq!(cell.take(), fresh, "round {round}");
+            }
+            putter.join().unwrap()
+        });
+        assert!(
+            statuses
+                .iter()
+                .all(|s| matches!(s, PutStatus::Delivered | PutStatus::Stale)),
+            "one put per generation cannot be a Duplicate"
+        );
+        let stale = statuses.iter().filter(|&&s| s == PutStatus::Stale).count();
+        assert_eq!(cell.faults(), (0, stale as u64));
+    }
+
+    #[test]
+    fn reply_cell_double_put_racing_take_first_delivery_wins() {
+        // Two puts of one generation race each other and the take. The
+        // take returns a Delivered put's response; a put that found the
+        // slot occupied is Duplicate and counted. (Both may be Delivered
+        // when the take lands between them — the second then sits in the
+        // cell until the next issue discards it.)
+        const ROUNDS: u64 = 20_000;
+        let cell = &ReplyCell::new();
+        let mut duplicates = 0;
+        for round in 0..ROUNDS {
+            let gen = cell.issue();
+            let puts = [Response::Added(round), Response::RmwSum(round)];
+            let (statuses, taken) = std::thread::scope(|s| {
+                let putters = puts.map(|resp| s.spawn(move || cell.put(gen, resp)));
+                let taken = cell.take();
+                (putters.map(|h| h.join().unwrap()), taken)
+            });
+            let delivered: Vec<_> = (0..2)
+                .filter(|&i| statuses[i] == PutStatus::Delivered)
+                .map(|i| puts[i])
+                .collect();
+            assert!(
+                statuses
+                    .iter()
+                    .all(|s| matches!(s, PutStatus::Delivered | PutStatus::Duplicate)),
+                "round {round}: {statuses:?}"
+            );
+            assert!(delivered.contains(&taken), "round {round}: took {taken:?}");
+            duplicates += 2 - delivered.len() as u64;
+            assert_eq!(cell.faults(), (duplicates, 0), "round {round}");
+        }
+    }
+
+    #[test]
+    fn closed_loop_producers_never_shed_below_capacity() {
+        // Four producers with one request outstanding each can never fill
+        // 64 slots, so any shed is spurious. (A producer whose `tail`
+        // snapshot went stale against a fresher `head` used to read the
+        // wrapped difference as "full".)
+        const PER_PRODUCER: u64 = 20_000;
+        let q = &ShardQueue::new(64);
+        let sheds = std::thread::scope(|s| {
+            let producers: Vec<_> = (0..4u64)
+                .map(|p| {
+                    s.spawn(move || {
+                        let cell = Arc::new(ReplyCell::new());
+                        let mut sheds = 0;
+                        for _ in 0..PER_PRODUCER {
+                            let gen = cell.issue();
+                            match q.try_push(Envelope::new(Request::Get(p), Arc::clone(&cell), gen))
+                            {
+                                Ok(_) => assert_eq!(cell.take(), Response::Written),
+                                Err(_) => sheds += 1,
+                            }
+                        }
+                        sheds
+                    })
+                })
+                .collect();
+            s.spawn(move || {
+                while let Some(env) = q.pop() {
+                    assert_eq!(
+                        env.reply.put(env.gen, Response::Written),
+                        PutStatus::Delivered
+                    );
+                }
+            });
+            let sheds: u64 = producers.into_iter().map(|h| h.join().unwrap()).sum();
+            q.close();
+            sheds
+        });
+        assert_eq!(sheds, 0);
+    }
+
+    #[test]
+    fn push_after_the_spin_budget_wakes_the_parked_consumer() {
+        for batch in [false, true] {
+            let q = Arc::new(ShardQueue::new(4));
+            let q2 = Arc::clone(&q);
+            let consumer = std::thread::spawn(move || {
+                if batch {
+                    let mut out = Vec::new();
+                    q2.pop_batch(4, &mut out);
+                    out.pop().map(|e| e.req)
+                } else {
+                    q2.pop().map(|e| e.req)
+                }
+            });
+            wait_for(|| q.consumer_parked());
+            q.try_push(env(3)).unwrap_or_else(|_| panic!("push"));
+            assert_eq!(consumer.join().unwrap(), Some(Request::Get(3)));
+        }
+    }
+
+    #[test]
+    fn close_ends_a_blocking_pop_in_either_wait_phase() {
+        // `parked`: close once the consumer has parked. Otherwise close as
+        // soon as it has entered the call, i.e. (on a multicore host)
+        // within its spin budget. Either way the pop must return the exit
+        // signal; a missed wake-up hangs the test.
+        for parked in [false, true] {
+            for batch in [false, true] {
+                for _ in 0..50 {
+                    let q = Arc::new(ShardQueue::new(4));
+                    let entered = Arc::new(AtomicBool::new(false));
+                    let (q2, entered2) = (Arc::clone(&q), Arc::clone(&entered));
+                    let consumer = std::thread::spawn(move || {
+                        if !parked {
+                            spin_on_the_next_wait();
+                        }
+                        entered2.store(true, Ordering::SeqCst);
+                        if batch {
+                            q2.pop_batch(4, &mut Vec::new())
+                        } else {
+                            q2.pop().map_or(0, |_| 1)
+                        }
+                    });
+                    if parked {
+                        wait_for(|| q.consumer_parked());
+                    } else {
+                        wait_for(|| entered.load(Ordering::SeqCst));
+                    }
+                    q.close();
+                    assert_eq!(consumer.join().unwrap(), 0, "closed + empty ⇒ exit");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn park_consumer_timeout_returns_by_its_deadline() {
+        let q = ShardQueue::new(4);
+        let timeout = Duration::from_millis(2);
+        let start = Instant::now();
+        assert!(
+            q.park_consumer_timeout(timeout),
+            "an idle ring really parks"
+        );
+        let waited = start.elapsed();
+        // Generous slack: the bound guards against "never", not jitter.
+        assert!(waited < timeout + Duration::from_millis(500), "{waited:?}");
+        assert!(!q.consumer_parked(), "the flag is cleared on the way out");
+        // Work already there (or a closed ring) ends the wait at the first
+        // check: no park, so the executor counts no idle park.
+        q.try_push(env(1)).unwrap_or_else(|_| panic!("push"));
+        assert!(!q.park_consumer_timeout(Duration::from_secs(60)));
+        let closed = ShardQueue::new(4);
+        closed.close();
+        assert!(!closed.park_consumer_timeout(Duration::from_secs(60)));
+    }
+
+    #[test]
+    fn head_and_tail_sit_on_separate_cache_lines() {
+        let q = ShardQueue::new(4);
+        let (tail, head) = (&q.tail as *const _ as usize, &q.head as *const _ as usize);
+        assert_eq!(tail % 64, 0);
+        assert_eq!(head % 64, 0);
+        assert!(tail.abs_diff(head) >= 64);
     }
 }

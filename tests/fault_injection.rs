@@ -131,3 +131,64 @@ fn stm_survives_malicious_policy() {
     });
     assert_eq!(stm.read_direct(0), 8_000);
 }
+
+#[test]
+fn executor_survives_a_client_that_vanishes_with_requests_outstanding() {
+    // The client arms a window of cells, submits, and disappears while the
+    // executor is serving: nobody will ever `take`, and the client's own
+    // `Arc`s are dropped with requests still queued. The executor's `put`s
+    // must neither block on the absent taker nor keep the cells alive, and
+    // the run must drain.
+    const WINDOW: usize = 32;
+    let stm = Stm::new(64, 1);
+    let router = Router::new(1, 2 * WINDOW);
+    let holder: Vec<Arc<ReplyCell>> = (0..WINDOW).map(|_| Arc::new(ReplyCell::new())).collect();
+    let cfg = ExecutorConfig {
+        shard: 0,
+        batch_max: 8,
+        work_ns: 0,
+        stats_interval_ns: 0,
+        run_start: std::time::Instant::now(),
+        steal: true,
+        steal_min_depth: 0,
+        group_commit: false,
+        snapshot_reads: true,
+        trace: None,
+    };
+    let mut admitted = 0;
+    let stats = std::thread::scope(|s| {
+        let queues = router.queues();
+        let (stm, cfg) = (&stm, &cfg);
+        let executor =
+            s.spawn(move || run_executor(stm, RandRw, Xoshiro256StarStar::new(9), &queues, cfg));
+        let client = holder.clone();
+        for (k, cell) in client.iter().enumerate() {
+            // Half the cells are reissued at once: their first request is
+            // abandoned in flight, its reply may find the cell moved on.
+            for _ in 0..1 + k % 2 {
+                let gen = cell.issue();
+                router.submit(Request::Add(k as u64, 1), cell, gen).unwrap();
+                admitted += 1;
+            }
+        }
+        drop(client);
+        router.close();
+        executor.join().unwrap()
+    });
+    assert_eq!(stats.commits, admitted, "every admitted request ran");
+    for cell in &holder {
+        assert_eq!(
+            Arc::strong_count(cell),
+            1,
+            "the executor's envelopes released their cell"
+        );
+    }
+    // The replies of the generations still current were delivered with
+    // nobody waiting; only an abandoned generation's reply can be a fault.
+    for (k, cell) in holder.iter().enumerate() {
+        let requests = 1 + k as u64 % 2;
+        assert_eq!(cell.take(), Response::Added(requests), "cell {k}");
+        let (duplicate, stale) = cell.faults();
+        assert!(duplicate == 0 && stale < requests, "cell {k}");
+    }
+}
