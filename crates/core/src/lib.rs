@@ -40,11 +40,13 @@
 //! assert!(cost >= rw_opt(&conflict, 500.0));
 //! ```
 
+pub mod clock;
 pub mod competitive;
 pub mod conflict;
 pub mod discrete;
 pub mod engine;
 pub mod hist;
+pub mod pad;
 pub mod pdf;
 pub mod pdfs;
 pub mod policy;
@@ -67,6 +69,7 @@ pub mod prelude {
         ShardedStats,
     };
     pub use crate::hist::LatencyHistogram;
+    pub use crate::pad::CachePadded;
     pub use crate::pdf::GracePdf;
     pub use crate::pdfs::{
         chain_r, RaMeanPdf, RaUnconstrainedPdf, RwMeanChainPdf, RwMeanK2Pdf, RwUnconstrainedPdf,

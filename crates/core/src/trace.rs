@@ -34,8 +34,8 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
+use crate::clock;
 use crate::engine::AbortKind;
 use crate::hist::LatencyHistogram;
 
@@ -609,28 +609,12 @@ struct ShardTrace {
 /// (router, clients, executors, the STM contexts); drained once with
 /// [`finish`](Trace::finish) after the run.
 pub struct Trace {
-    epoch: Instant,
-    /// Raw timebase reading taken together with `epoch` (TSC ticks on
-    /// x86_64, 0 elsewhere): the hot emit path stamps events in raw
-    /// ticks and [`finish`](Trace::finish) converts to nanoseconds once,
-    /// against this pair — one unserialized counter read per event
-    /// instead of a `clock_gettime` call.
+    /// [`clock::now`] at construction: the emit path stamps events in
+    /// raw ticks since this epoch — one unserialized counter read per
+    /// event instead of a `clock_gettime` call — and
+    /// [`finish`](Trace::finish) converts them to nanoseconds in one pass.
     epoch_ticks: u64,
     shards: Vec<ShardTrace>,
-}
-
-/// Raw timebase read: the TSC on x86_64 (a few ns, vs ~20ns+ for
-/// `Instant::elapsed` through `clock_gettime`), 0 elsewhere so callers
-/// fall back to the epoch-relative `Instant`.
-#[inline]
-fn raw_ticks() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_rdtsc` has no preconditions.
-    unsafe {
-        core::arch::x86_64::_rdtsc()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    0
 }
 
 impl std::fmt::Debug for Trace {
@@ -645,9 +629,11 @@ impl std::fmt::Debug for Trace {
 impl Trace {
     pub fn new(shards: usize, cfg: &TraceConfig) -> Self {
         assert!(shards >= 1, "need at least one shard");
+        // Start the tick clock's calibration window now, so `finish`
+        // converts without waiting.
+        clock::anchor();
         Self {
-            epoch: Instant::now(),
-            epoch_ticks: raw_ticks(),
+            epoch_ticks: clock::now(),
             shards: (0..shards)
                 .map(|_| ShardTrace {
                     ring: TraceRing::new(cfg.ring_capacity),
@@ -663,11 +649,6 @@ impl Trace {
         self.shards.len()
     }
 
-    /// Nanoseconds since this trace's epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
     /// Stamp `ev` with the epoch-relative timestamp and record it on its
     /// shard's ring (drop-on-full). Abort events additionally bump the
     /// per-cause attribution counter and the hot-key table; shed events
@@ -675,15 +656,10 @@ impl Trace {
     /// per-cause totals match the engine counters exactly even when the
     /// ring overflows.
     ///
-    /// On x86_64 the stamp is raw TSC ticks (converted to ns once per
-    /// session in [`finish`](Trace::finish)); elsewhere it is ns
-    /// directly. Either way `ts_ns` orders consistently within a session.
+    /// The stamp is raw [`clock`] ticks, converted to ns once per session
+    /// in [`finish`](Trace::finish).
     pub fn emit(&self, mut ev: TraceEvent) {
-        ev.ts_ns = if cfg!(target_arch = "x86_64") {
-            raw_ticks().wrapping_sub(self.epoch_ticks)
-        } else {
-            self.now_ns()
-        };
+        ev.ts_ns = clock::now().wrapping_sub(self.epoch_ticks);
         let st = &self.shards[(ev.shard as usize).min(self.shards.len() - 1)];
         if let Some(i) = ev.cause.abort_index() {
             st.aborts[i].fetch_add(1, Ordering::Relaxed);
@@ -708,13 +684,10 @@ impl Trace {
     /// [`TraceReport`]. Events are sorted by timestamp (ties by shard)
     /// so consumers see one global timeline.
     ///
-    /// Raw-tick stamps (x86_64) are converted to nanoseconds here, in
-    /// one pass, by scaling against the `(Instant, ticks)` epoch pair:
-    /// the session-long ratio is far more accurate than any per-event
-    /// calibration and costs the emit path nothing.
+    /// Raw-tick stamps are converted to nanoseconds here, in one pass,
+    /// through the process-wide [`clock`] scale (a monotone scaling, so
+    /// ordering is preserved) — the emit path pays nothing for it.
     pub fn finish(&self) -> TraceReport {
-        let elapsed_ns = self.epoch.elapsed().as_nanos() as u64;
-        let elapsed_ticks = raw_ticks().wrapping_sub(self.epoch_ticks);
         let mut events = Vec::new();
         let mut dropped = Vec::with_capacity(self.shards.len());
         let mut aborts = Vec::with_capacity(self.shards.len());
@@ -731,12 +704,8 @@ impl Trace {
             sheds.push(std::array::from_fn(|i| st.sheds[i].load(Ordering::Relaxed)));
             hot_keys.push(st.hot.top(HOT_SLOTS));
         }
-        if cfg!(target_arch = "x86_64") && elapsed_ticks > 0 {
-            for ev in &mut events {
-                // u128 arithmetic: ticks * ns never overflows, and the
-                // ratio preserves ordering (monotone scaling).
-                ev.ts_ns = ((ev.ts_ns as u128 * elapsed_ns as u128) / elapsed_ticks as u128) as u64;
-            }
+        for ev in &mut events {
+            ev.ts_ns = clock::ticks_to_ns(ev.ts_ns);
         }
         events.sort_by_key(|e| (e.ts_ns, e.shard));
         TraceReport {

@@ -53,6 +53,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use tcp_core::engine::QueueWaitEstimator;
+use tcp_core::pad::CachePadded;
 
 use crate::protocol::{Request, Response};
 
@@ -239,19 +240,6 @@ impl Waiter {
     }
 }
 
-/// Pads and aligns `T` to a cache line of its own, so a word one side
-/// writes on every operation does not share a line with what the other
-/// side reads.
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
 /// One ring slot: a sequence number gating ownership plus the payload.
 ///
 /// Invariant (Vyukov): `seq == pos` means the slot is free for the producer
@@ -333,8 +321,8 @@ impl ShardQueue {
                 .collect(),
             mask: ring - 1,
             capacity,
-            tail: CachePadded(AtomicUsize::new(0)),
-            head: CachePadded(AtomicUsize::new(0)),
+            tail: CachePadded::new(AtomicUsize::new(0)),
+            head: CachePadded::new(AtomicUsize::new(0)),
             consumer: Waiter::default(),
             depth_max: AtomicU64::new(0),
             estimator: QueueWaitEstimator::default(),

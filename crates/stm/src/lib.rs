@@ -40,8 +40,8 @@ pub mod throughput;
 pub mod prelude {
     pub use crate::lockfree::{MsQueue, TreiberStack};
     pub use crate::runtime::{
-        Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, ShardLayout, SnapshotMiss, SnapshotTx,
-        Stm, Tx, TxCtx, WriteEntry, WriteOp, PAIRS_PER_LINE,
+        Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, Reciprocal, ShardLayout, SnapshotMiss,
+        SnapshotTx, Stm, Tx, TxCtx, WriteEntry, WriteOp, PAIRS_PER_LINE,
     };
     pub use crate::structures::{TMap, TQueue, TStack};
     pub use crate::throughput::{

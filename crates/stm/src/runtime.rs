@@ -16,7 +16,7 @@
 //!   set; writes are buffered as typed [`WriteEntry`]s — absolute stores
 //!   ([`WriteOp::Set`]) or commutative increments ([`WriteOp::Add`]);
 //! * commit runs three explicit phases — **acquire** write locks in
-//!   address order, **validate** the read set, **publish** under a clock
+//!   slot order, **validate** the read set, **publish** under a clock
 //!   bump — shared between the per-transaction path and [`GroupCommit`].
 //!
 //! **Group commit** is the batch-aware extension: a batch executor runs
@@ -43,16 +43,27 @@
 //! mapping, so one shard's words are contiguous and never share a cache
 //! line with another shard's (no false sharing between shard executors).
 //! The *cold* array holds `chain_head` + the bounded MVCC chains, which
-//! only publishes and snapshot readers touch. Atomic orderings follow
-//! the seqlock / PUBLISH_BIT protocols; every load/store below is
-//! annotated with the invariant its ordering preserves.
+//! only publishes and snapshot readers touch; it is segmented on the same
+//! line-exact boundaries. The [`Stm`] header itself is split by who
+//! writes what: the construct-once fields share lines nobody writes, the
+//! version clock has a 128-byte line to itself, and each thread's kill
+//! flag has its own. A key is mapped to its slot **once per access** —
+//! the read/write-set entries carry the slot, so lock, validate, publish
+//! and release index the arrays directly. Atomic orderings follow the
+//! seqlock / PUBLISH_BIT protocols; every load/store below is annotated
+//! with the invariant its ordering preserves.
+//!
+//! **Time** comes from [`tcp_core::clock`] only: attempt start stamps,
+//! grace deadlines and wait accounting are raw ticks, converted to
+//! nanoseconds where a number leaves the transaction.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
+use tcp_core::clock;
 use tcp_core::conflict::ResolutionMode;
 use tcp_core::engine::{AbortKind, ConflictArbiter, EngineStats};
+use tcp_core::pad::CachePadded;
 use tcp_core::policy::GracePolicy;
 use tcp_core::rng::Xoshiro256StarStar;
 use tcp_core::smallset::{InlineVec, KeyFilter};
@@ -220,49 +231,107 @@ impl ColdCell {
     }
 }
 
-/// The bijective shard-major `key → slot` mapping of the hot array.
+/// Slots per shard-segment padding unit: every shard's segment is a whole
+/// number of these, which makes segment boundaries line boundaries in
+/// **both** arrays — 8 hot pairs are two [`HotLine`]s, and 8 cold cells of
+/// 72 bytes are nine lines exactly (the cold array's first cell is placed
+/// on a line boundary, see [`Stm::with_layout`]). Cells straddle lines
+/// *within* a unit; padding the unit rather than aligning each cell (which
+/// would grow the cold array by 78 %) is what keeps a line from ever
+/// holding cells of two different shard segments.
+pub const SEGMENT_PAD: usize = 8;
+
+const COLD_CELL_BYTES: usize = std::mem::size_of::<ColdCell>();
+const _: () = assert!((SEGMENT_PAD * COLD_CELL_BYTES).is_multiple_of(64));
+const _: () = assert!(SEGMENT_PAD.is_multiple_of(PAIRS_PER_LINE));
+
+/// Division-free `k / d` and `k % d` for 32-bit `k` and `d`, by a
+/// precomputed reciprocal (Lemire, Kaser & Kurz, "Faster remainder by
+/// direct computation", 2019): with `M = ⌈2^64 / d⌉`,
+/// `k / d = ⌊M·k / 2^64⌋` and `k % d = ⌊(M·k mod 2^64)·d / 2^64⌋`, exact
+/// whenever both operands fit 32 bits — which the `u32` signatures
+/// enforce. One branch-free path for every divisor: `d = 1` is the one
+/// case whose `M` (2^64) overflows a word, so the 65th bit is kept as a
+/// mask and added back.
+#[derive(Clone, Copy, Debug)]
+pub struct Reciprocal {
+    d: u64,
+    /// Low 64 bits of `M`.
+    m: u64,
+    /// All-ones iff `M` = 2^64 (`d` = 1), else zero.
+    m_top: u64,
+}
+
+impl Reciprocal {
+    pub fn new(d: u32) -> Self {
+        assert!(d >= 1, "division by zero");
+        Self {
+            d: u64::from(d),
+            m: (u64::MAX / u64::from(d)).wrapping_add(1),
+            m_top: if d == 1 { u64::MAX } else { 0 },
+        }
+    }
+
+    /// `(k / d, k % d)`.
+    #[inline]
+    pub fn div_rem(&self, k: u32) -> (u32, u32) {
+        let k = u64::from(k);
+        let quot = ((u128::from(self.m) * u128::from(k)) >> 64) as u64 + (k & self.m_top);
+        let low = self.m.wrapping_mul(k);
+        let rem = ((u128::from(low) * u128::from(self.d)) >> 64) as u64;
+        (quot as u32, rem as u32)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`ShardLayout::slot`] on this thread, for the test that a
+    /// transaction maps each distinct word once.
+    static SLOT_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The bijective shard-major `key → slot` mapping of the hot and cold
+/// arrays.
 ///
 /// Keys are routed to shards as `key % shards` (the router's rule); the
-/// layout gives each shard a *contiguous segment* of slots, padded up to
-/// whole [`PAIRS_PER_LINE`]-pair cache lines, and places key `k` at
-/// `base[k % shards] + k / shards`. Within a shard the quotients
-/// `k / shards` are distinct and dense, segments are disjoint by
-/// construction, so the mapping is a bijection onto per-shard ranges —
-/// property-tested in `tests/properties.rs`. The padding means two
-/// different shards' words can never share a cache line: a publish on
-/// shard A never invalidates a line shard B is reading.
+/// layout gives each shard a *contiguous segment* of `stride` slots —
+/// `⌈words / shards⌉` rounded up to whole [`SEGMENT_PAD`] units — and
+/// places key `k` at `(k % shards) · stride + k / shards`. Within a shard
+/// the quotients `k / shards` are distinct and below `stride`, segments
+/// are disjoint by construction, so the mapping is a bijection onto
+/// per-shard ranges — property-tested in `tests/properties.rs`. The
+/// padding means two different shards' words can never share a cache
+/// line in either array: a publish on shard A never invalidates a line
+/// shard B is reading. Equal strides make the mapping pure arithmetic —
+/// no per-shard table to load — and [`Reciprocal`] makes it
+/// division-free.
 #[derive(Clone, Debug)]
 pub struct ShardLayout {
     shards: usize,
     words: usize,
-    /// First slot of each shard's segment; each base is line-aligned.
-    base: Vec<usize>,
-    /// Total padded slots (the hot/cold array length).
-    slots: usize,
+    /// Slots per shard segment.
+    stride: usize,
+    by_shards: Reciprocal,
 }
 
 impl ShardLayout {
     pub fn new(words: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let mut base = Vec::with_capacity(shards);
-        let mut acc = 0usize;
-        for s in 0..shards {
-            base.push(acc);
-            // Keys with k % shards == s, i.e. k in {s, s+shards, ...} ∩ [0, words).
-            let count = if words > s {
-                (words - s).div_ceil(shards)
-            } else {
-                0
-            };
-            // Pad the segment to whole cache lines so the next shard
-            // starts on a fresh line.
-            acc += count.div_ceil(PAIRS_PER_LINE) * PAIRS_PER_LINE;
-        }
+        let stride = words.div_ceil(shards).next_multiple_of(SEGMENT_PAD);
+        // Keys and slots are carried as `u32` (the set entries, the
+        // reciprocal's operands).
+        let fits = shards
+            .checked_mul(stride)
+            .is_some_and(|slots| u32::try_from(slots).is_ok());
+        assert!(
+            fits,
+            "heap of {words} words x {shards} shards exceeds 2^32 slots"
+        );
         Self {
             shards,
             words,
-            base,
-            slots: acc,
+            stride,
+            by_shards: Reciprocal::new(shards as u32),
         }
     }
 
@@ -270,12 +339,15 @@ impl ShardLayout {
     #[inline]
     pub fn slot(&self, k: Addr) -> usize {
         debug_assert!(k < self.words);
-        self.base[k % self.shards] + k / self.shards
+        #[cfg(test)]
+        SLOT_CALLS.with(|c| c.set(c.get() + 1));
+        let (index, shard) = self.by_shards.div_rem(k as u32);
+        shard as usize * self.stride + index as usize
     }
 
-    /// Total slots including line padding (≥ `words()`).
+    /// Total slots including segment padding (≥ `words()`).
     pub fn slots(&self) -> usize {
-        self.slots
+        self.shards * self.stride
     }
 
     pub fn words(&self) -> usize {
@@ -286,9 +358,18 @@ impl ShardLayout {
         self.shards
     }
 
-    /// The cache line a slot lives on (for the no-sharing property test).
+    /// The hot-array cache line a slot lives on (for the no-sharing
+    /// property test).
     pub fn line_of_slot(slot: usize) -> usize {
         slot / PAIRS_PER_LINE
+    }
+
+    /// The cold-array cache lines a slot's cell overlaps (a 72-byte cell
+    /// straddles two), as line indices from the array's line-aligned
+    /// base.
+    pub fn cold_lines_of_slot(slot: usize) -> std::ops::RangeInclusive<usize> {
+        let start = slot * COLD_CELL_BYTES;
+        start / 64..=(start + COLD_CELL_BYTES - 1) / 64
     }
 }
 
@@ -300,18 +381,79 @@ pub struct SnapshotMiss;
 
 /// The shared STM heap plus runtime state: the SoA hot/cold arrays and
 /// the shard-major layout mapping keys into them.
+///
+/// The header is split by writer. `hot`, `cold`, `layout`, `mode` and the
+/// `kill_flags` pointer are written once, here, and share lines no one
+/// writes again — every access dereferences them, so they must stay
+/// shared-clean in every core's cache. `clock` is RMW'd by every commit
+/// and has an aligned 128-byte line to itself (pinned by the `const`
+/// block below); each kill flag has one too, off in its own allocation.
 pub struct Stm {
     /// Cache-line-aligned hot `(meta, value)` pairs, shard-major.
     hot: Vec<HotLine>,
-    /// MVCC chains, indexed by the same slot as the hot pair.
+    /// MVCC chains: the cell of `slot` is `cold[cold_skip + slot]`.
     cold: Vec<ColdCell>,
+    /// Leading cells left unused so that slot 0's cell starts a cache
+    /// line (a line-aligned *allocation* of this size is never recycled
+    /// by glibc — fresh pages every time, 4x the construction cost).
+    cold_skip: usize,
     layout: ShardLayout,
-    clock: AtomicU64,
-    /// Remote-abort flags, one per registered thread (requestor-wins).
-    kill_flags: Vec<AtomicBool>,
     /// Conflict-resolution mode applied on grace expiry.
     pub mode: ResolutionMode,
+    /// Remote-abort flags, one per registered thread (requestor-wins),
+    /// each on a line of its own: a thread polls its flag on every access
+    /// and clears it at every attempt start, and must not pay for its
+    /// neighbour doing the same.
+    kill_flags: Box<[CachePadded<AtomicBool>]>,
+    /// The global version clock: the one word TL2 makes every writer
+    /// share.
+    clock: CachePadded<AtomicU64>,
 }
+
+// Header pins: nothing but `clock` on its 128-byte line, and kill flags a
+// line apart.
+const _: () = {
+    use std::mem::{align_of, offset_of, size_of};
+    const LINE: usize = 128;
+    /// Does the field at `offset` lie wholly outside the line at `line`?
+    const fn off_line(line: usize, offset: usize, size: usize) -> bool {
+        offset + size <= line || offset >= line + LINE
+    }
+    let clock = offset_of!(Stm, clock);
+    assert!(clock.is_multiple_of(LINE) && size_of::<CachePadded<AtomicU64>>() == LINE);
+    assert!(off_line(
+        clock,
+        offset_of!(Stm, hot),
+        size_of::<Vec<HotLine>>()
+    ));
+    assert!(off_line(
+        clock,
+        offset_of!(Stm, cold),
+        size_of::<Vec<ColdCell>>()
+    ));
+    assert!(off_line(
+        clock,
+        offset_of!(Stm, cold_skip),
+        size_of::<usize>()
+    ));
+    assert!(off_line(
+        clock,
+        offset_of!(Stm, layout),
+        size_of::<ShardLayout>()
+    ));
+    assert!(off_line(
+        clock,
+        offset_of!(Stm, mode),
+        size_of::<ResolutionMode>()
+    ));
+    assert!(off_line(
+        clock,
+        offset_of!(Stm, kill_flags),
+        size_of::<Box<[CachePadded<AtomicBool>]>>()
+    ));
+    assert!(size_of::<Stm>().is_multiple_of(LINE) && align_of::<Stm>() == LINE);
+    assert!(size_of::<CachePadded<AtomicBool>>() == LINE);
+};
 
 impl Stm {
     /// A heap of `words` zero-initialized words supporting up to
@@ -338,33 +480,45 @@ impl Stm {
             max_threads <= MAX_OWNER + 1,
             "thread ids must pack into the owner field"
         );
+        // Opens the tick clock's calibration window (one counter read),
+        // so the first conflict's ns conversion finds it long closed.
+        clock::anchor();
         let layout = ShardLayout::new(words, shards);
-        let lines = layout.slots().div_ceil(PAIRS_PER_LINE);
+        // Cells are 8-aligned and 72 bytes, so each cell skipped moves
+        // the start by 8 bytes within its line: under SEGMENT_PAD skips
+        // reach a line boundary.
+        let cold: Vec<ColdCell> = (0..layout.slots() + SEGMENT_PAD - 1)
+            .map(|_| ColdCell::new())
+            .collect();
+        let base = cold.as_ptr() as usize;
+        let cold_skip = (0..SEGMENT_PAD)
+            .find(|skip| (base + skip * COLD_CELL_BYTES).is_multiple_of(64))
+            .expect("some cell of the first eight starts a cache line");
         Self {
-            hot: (0..lines).map(|_| HotLine::new()).collect(),
-            cold: (0..layout.slots()).map(|_| ColdCell::new()).collect(),
+            hot: (0..layout.slots() / PAIRS_PER_LINE)
+                .map(|_| HotLine::new())
+                .collect(),
+            cold,
+            cold_skip,
             layout,
-            clock: AtomicU64::new(0),
-            kill_flags: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
             mode,
+            kill_flags: (0..max_threads)
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
+                .collect(),
+            clock: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
-    /// The hot pair of key `a`.
+    /// The hot pair at `slot`.
     #[inline]
-    fn pair(&self, a: Addr) -> &HotPair {
-        let slot = self.layout.slot(a);
+    fn pair(&self, slot: usize) -> &HotPair {
         &self.hot[slot / PAIRS_PER_LINE].pairs[slot % PAIRS_PER_LINE]
     }
 
-    /// The hot pair and cold cell of key `a` (one slot computation).
+    /// The cold cell at `slot`.
     #[inline]
-    fn parts(&self, a: Addr) -> (&HotPair, &ColdCell) {
-        let slot = self.layout.slot(a);
-        (
-            &self.hot[slot / PAIRS_PER_LINE].pairs[slot % PAIRS_PER_LINE],
-            &self.cold[slot],
-        )
+    fn cold(&self, slot: usize) -> &ColdCell {
+        &self.cold[self.cold_skip + slot]
     }
 
     /// The key → slot layout this heap was built with.
@@ -385,7 +539,7 @@ impl Stm {
     /// publisher's Release value store; callers additionally quiesce
     /// (thread join), which is the real ordering here.
     pub fn read_direct(&self, a: Addr) -> u64 {
-        self.pair(a).value.load(Ordering::Acquire)
+        self.pair(self.layout.slot(a)).value.load(Ordering::Acquire)
     }
 
     /// Non-transactional write (test setup only). Mirrors the value into
@@ -393,10 +547,11 @@ impl Stm {
     /// see pre-seeded state. Release mirrors the transactional publish
     /// protocol, though callers run quiesced by contract.
     pub fn write_direct(&self, a: Addr, v: u64) {
-        let (pair, cold) = self.parts(a);
+        let slot = self.layout.slot(a);
+        let pair = self.pair(slot);
         pair.value.store(v, Ordering::Release);
         let ver = version_of(pair.meta.load(Ordering::Acquire));
-        cold.push_chain(ver, v);
+        self.cold(slot).push_chain(ver, v);
     }
 
     /// Current value of the global version clock — equivalently, the
@@ -434,7 +589,10 @@ impl Stm {
     /// published version) is the authority. Unlocked-but-newer means the
     /// same thing directly.
     fn snapshot_cell(&self, a: Addr, rv: u64) -> Result<u64, SnapshotMiss> {
-        let (pair, cold) = self.parts(a);
+        // Snapshot reads keep no set to carry the slot in: one mapping
+        // per access.
+        let slot = self.layout.slot(a);
+        let (pair, cold) = (self.pair(slot), self.cold(slot));
         loop {
             // Acquire: pairs with the publisher's final Release meta
             // store, so observing version m1 makes the value stored for
@@ -531,6 +689,9 @@ pub enum WriteOp {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteEntry {
     pub addr: Addr,
+    /// `addr`'s slot, mapped when the entry was created: the commit
+    /// phases lock, publish and release by slot.
+    slot: u32,
     pub op: WriteOp,
     /// The value this transaction would publish. For `Add` entries inside
     /// a committed group this is rewritten to the *resolved* value — the
@@ -543,19 +704,19 @@ pub struct WriteEntry {
 
 /// How a failed lock acquisition failed.
 enum LockFail {
-    /// Locked by another transaction (its meta word, for the owner id).
-    Busy(u64),
+    /// Locked by another transaction.
+    Busy,
     /// Unlocked, but the version is newer than the acquirer's snapshot.
     Stale,
 }
 
-/// Commit phase 1 primitive: try to acquire `a`'s write lock for `owner`,
-/// retrying internal CAS races. `max_version` is the newest snapshot the
-/// acquirer can tolerate (its `rv`; for a folded group slot, the minimum
-/// over the slot's writers). Returns the pre-lock meta for the restore
-/// table.
-fn lock_cell(stm: &Stm, a: Addr, owner: usize, max_version: u64) -> Result<u64, LockFail> {
-    let pair = stm.pair(a);
+/// Commit phase 1 primitive: try to acquire the write lock of the word at
+/// `slot` for `owner`, retrying internal CAS races. `max_version` is the
+/// newest snapshot the acquirer can tolerate (its `rv`; for a folded group
+/// slot, the minimum over the slot's writers). Returns the pre-lock meta
+/// for the restore table.
+fn lock_cell(stm: &Stm, slot: usize, owner: usize, max_version: u64) -> Result<u64, LockFail> {
+    let pair = stm.pair(slot);
     loop {
         // Relaxed screening load: the CAS below is the authoritative
         // read (it fails if meta moved), so this load only routes us to
@@ -564,7 +725,7 @@ fn lock_cell(stm: &Stm, a: Addr, owner: usize, max_version: u64) -> Result<u64, 
         // (contend / abort) re-examines.
         let meta = pair.meta.load(Ordering::Relaxed);
         if is_locked(meta) {
-            return Err(LockFail::Busy(meta));
+            return Err(LockFail::Busy);
         }
         if version_of(meta) > max_version {
             return Err(LockFail::Stale);
@@ -591,25 +752,25 @@ fn lock_cell(stm: &Stm, a: Addr, owner: usize, max_version: u64) -> Result<u64, 
     }
 }
 
-/// Commit phase 2 primitive: is the read `(a, m1)` still valid for a
+/// Commit phase 2 primitive: is the read `(slot, m1)` still valid for a
 /// committer running at snapshot `rv`? A word locked by `owner` itself is
 /// valid when its *pre-lock* version (looked up via `prelock`, the
 /// restore table) was within the snapshot.
 fn validate_read(
     stm: &Stm,
     owner: usize,
-    a: Addr,
+    slot: usize,
     m1: u64,
     rv: u64,
-    prelock: impl Fn(Addr) -> Option<u64>,
+    prelock: impl Fn(usize) -> Option<u64>,
 ) -> bool {
     // Acquire: pairs with writers' Release meta stores, so a meta equal
     // to m1 proves no publish completed on this word since the read —
     // the TL2 phase-2 invariant that the value read earlier still
     // belongs to version m1.
-    let m = stm.pair(a).meta.load(Ordering::Acquire);
+    let m = stm.pair(slot).meta.load(Ordering::Acquire);
     if is_locked(m) {
-        owner_of(m) == owner && matches!(prelock(a), Some(pm) if version_of(pm) <= rv)
+        owner_of(m) == owner && matches!(prelock(slot), Some(pm) if version_of(pm) <= rv)
     } else {
         m == m1
     }
@@ -621,8 +782,18 @@ fn validate_read(
 /// to a capacity-retaining heap vec.
 const INLINE_SET: usize = 8;
 
-/// A transaction's read set: `(addr, observed meta)` pairs.
-type ReadSet = InlineVec<(Addr, u64), INLINE_SET>;
+/// One recorded read: the word, where it lives, and the meta observed.
+/// `u32` fields ([`ShardLayout::new`] bounds keys and slots) keep it at
+/// 16 bytes.
+#[derive(Clone, Copy, Debug, Default)]
+struct ReadEntry {
+    addr: u32,
+    slot: u32,
+    meta: u64,
+}
+
+/// A transaction's read set, one entry per distinct word read.
+type ReadSet = InlineVec<ReadEntry, INLINE_SET>;
 /// A transaction's buffered writes (unique per address).
 type WriteSet = InlineVec<WriteEntry, INLINE_SET>;
 /// Pre-lock meta words, parallel to the sorted write set's prefix.
@@ -632,6 +803,8 @@ type MetaSet = InlineVec<u64, INLINE_SET>;
 pub struct TxCtx<'s, P: GracePolicy> {
     stm: &'s Stm,
     pub id: usize,
+    /// This context's own remote-abort flag (`stm.kill_flags[id]`).
+    kill: &'s AtomicBool,
     /// The shared engine-layer consultation loop: policy + §7 backoff.
     pub arbiter: ConflictArbiter<P>,
     /// Concrete (devirtualized) PRNG: grace-period sampling makes no
@@ -642,14 +815,15 @@ pub struct TxCtx<'s, P: GracePolicy> {
     /// Fixed component of the abort cost, in nanoseconds (models the
     /// restart overhead; the elapsed running time is added per conflict).
     pub cleanup_ns: f64,
-    /// Recycled read set, handed to each transaction attempt and
-    /// reclaimed afterwards; inline up to [`INLINE_SET`] entries, and the
-    /// heap spill of larger footprints is retained across transactions so
-    /// batch executors never reallocate the hot-path sets.
+    /// The current attempt's read set, cleared at each attempt start;
+    /// inline up to [`INLINE_SET`] entries, and the heap spill of larger
+    /// footprints is retained across transactions so batch executors
+    /// never reallocate the hot-path sets.
     read_buf: ReadSet,
-    /// Recycled write set (same lifecycle as `read_buf`).
+    /// The current attempt's write set (same lifecycle as `read_buf`).
     write_buf: WriteSet,
-    /// Recycled pre-lock meta table for the commit's acquire phase.
+    /// Pre-lock metas of the commit's acquire phase, parallel to the
+    /// sorted write set's locked prefix.
     restore_buf: MetaSet,
     /// Lifecycle trace sink, when tracing is enabled for the run. `None`
     /// keeps every emission point a single never-taken branch.
@@ -665,15 +839,20 @@ pub struct TxCtx<'s, P: GracePolicy> {
 
 /// The view a transaction body gets: transactional reads and writes.
 pub struct Tx<'c, 's, P: GracePolicy> {
+    /// The context, which also holds this attempt's read, write and
+    /// restore sets (`read_buf` / `write_buf` / `restore_buf`): they stay
+    /// where they are from one attempt to the next, nothing is moved.
     ctx: &'c mut TxCtx<'s, P>,
     rv: u64,
-    start: Instant,
-    reads: ReadSet,
-    writes: WriteSet,
-    /// Membership filter over `writes`' addresses: the read-your-writes
-    /// probe — almost always negative — short-circuits on one AND
-    /// instead of scanning the write set.
+    /// [`clock::now`] at the start of this attempt.
+    start: u64,
+    /// Membership filter over the write set's addresses: the
+    /// read-your-writes probe — almost always negative — short-circuits
+    /// on one AND instead of scanning the write set.
     wfilter: KeyFilter,
+    /// The same over the read set's addresses: a word is recorded (and
+    /// mapped to its slot) once per attempt however often it is read.
+    rfilter: KeyFilter,
 }
 
 /// The view a read-only snapshot body gets: MVCC reads at one fixed
@@ -709,6 +888,7 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
         Self {
             stm,
             id,
+            kill: &stm.kill_flags[id],
             arbiter: ConflictArbiter::new(policy),
             rng,
             stats: EngineStats::default(),
@@ -756,37 +936,37 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
         }
     }
 
+    /// Start an attempt: drop a stale kill flag and sample the clock.
+    fn begin_attempt(&self) -> u64 {
+        // Test before store: the flag is almost never set, and a blind
+        // store would take this line exclusive on every attempt. Relaxed:
+        // clearing our own advisory flag; a contender's racing store is
+        // indistinguishable from one landing a moment later, and either
+        // just costs one benign retry.
+        if self.kill.load(Ordering::Relaxed) {
+            self.kill.store(false, Ordering::Relaxed);
+        }
+        // Acquire: pairs with committers' AcqRel clock bumps, so every
+        // publish at a version ≤ rv happens-before this attempt — reads
+        // validated against rv observe fully published state.
+        self.stm.clock.load(Ordering::Acquire)
+    }
+
     /// Run `body` as a transaction, retrying on abort, and return its
     /// result.
     pub fn run<T>(&mut self, mut body: impl FnMut(&mut Tx<'_, 's, P>) -> Result<T, Abort>) -> T {
         loop {
-            // Relaxed: clearing our own advisory kill flag; a contender's
-            // racing store is indistinguishable from one landing a moment
-            // later, and either just costs one benign retry.
-            self.stm.kill_flags[self.id].store(false, Ordering::Relaxed);
-            // Acquire: pairs with committers' AcqRel clock bumps, so
-            // every publish at a version ≤ rv happens-before this
-            // attempt — reads validated against rv observe fully
-            // published state.
-            let rv = self.stm.clock.load(Ordering::Acquire);
-            let mut reads = std::mem::take(&mut self.read_buf);
-            let mut writes = std::mem::take(&mut self.write_buf);
-            reads.clear();
-            writes.clear();
+            let rv = self.begin_attempt();
+            self.read_buf.clear();
+            self.write_buf.clear();
             let mut tx = Tx {
                 ctx: self,
                 rv,
-                start: Instant::now(),
-                reads,
-                writes,
+                start: clock::now(),
                 wfilter: KeyFilter::new(),
+                rfilter: KeyFilter::new(),
             };
             let outcome = body(&mut tx).and_then(|v| tx.commit().map(|_| v));
-            // Reclaim the set allocations for the next transaction (the
-            // whole point of keeping them on the context).
-            let Tx { reads, writes, .. } = tx;
-            self.read_buf = reads;
-            self.write_buf = writes;
             match outcome {
                 Ok(v) => {
                     self.stats.commits += 1;
@@ -863,24 +1043,24 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
         prep: &mut PreparedTx,
         body: impl FnOnce(&mut Tx<'_, 's, P>) -> Result<T, Abort>,
     ) -> Result<T, Abort> {
-        // Same orderings as `run` (see there).
-        self.stm.kill_flags[self.id].store(false, Ordering::Relaxed);
-        let rv = self.stm.clock.load(Ordering::Acquire);
-        prep.reads.clear();
-        prep.writes.clear();
+        let rv = self.begin_attempt();
         prep.rv = rv;
+        // The attempt runs on the context's sets: lend it `prep`'s for
+        // the duration.
+        std::mem::swap(&mut self.read_buf, &mut prep.reads);
+        std::mem::swap(&mut self.write_buf, &mut prep.writes);
+        self.read_buf.clear();
+        self.write_buf.clear();
         let mut tx = Tx {
             ctx: self,
             rv,
-            start: Instant::now(),
-            reads: std::mem::take(&mut prep.reads),
-            writes: std::mem::take(&mut prep.writes),
+            start: clock::now(),
             wfilter: KeyFilter::new(),
+            rfilter: KeyFilter::new(),
         };
         let out = body(&mut tx);
-        let Tx { reads, writes, .. } = tx;
-        prep.reads = reads;
-        prep.writes = writes;
+        std::mem::swap(&mut self.read_buf, &mut prep.reads);
+        std::mem::swap(&mut self.write_buf, &mut prep.writes);
         out
     }
 }
@@ -891,78 +1071,81 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
         // guarantees a contender's store becomes visible to this
         // periodically-polled load in finite time, and the abort path's
         // Release lock restores carry the actual ordering.
-        self.ctx.stm.kill_flags[self.ctx.id].load(Ordering::Relaxed)
+        self.ctx.kill.load(Ordering::Relaxed)
     }
 
-    /// Elapsed running time of this attempt, in nanoseconds.
-    fn elapsed_ns(&self) -> f64 {
-        self.start.elapsed().as_nanos() as f64
-    }
-
-    /// Handle an encounter with a word locked by `owner`: wait out a
+    /// Handle an encounter with the locked word at `slot`: wait out a
     /// policy-chosen grace period hoping for release; on expiry resolve
-    /// according to the runtime mode. Returns `Ok(())` if the lock was
-    /// released within the grace period (caller retries the access).
-    fn contend(&mut self, a: Addr, owner: usize) -> Result<(), Abort> {
+    /// according to the runtime mode. Returns `Ok(())` once the lock is
+    /// released (caller retries the access). However it ends, the whole
+    /// wait — grace and, in requestor-wins, the spin for the flagged
+    /// owner to let go — lands in `wait_cycles`.
+    fn contend(&mut self, slot: usize) -> Result<(), Abort> {
         let stm = self.ctx.stm;
+        let wait_start = clock::now();
         // Abort cost of the side that would die: in requestor-aborts, us;
         // in requestor-wins we cannot observe the owner's elapsed time
         // locally, so our own serves as the proxy (both sides run the same
         // workload — documented simplification). The arbiter inflates it
         // by §7 backoff and sanitizes the sampled grace.
         self.ctx.stats.arbiter_consults += 1;
-        let decision = self.ctx.arbiter.decide(
-            self.elapsed_ns() + self.ctx.cleanup_ns,
-            2,
-            &mut self.ctx.rng,
-        );
+        let elapsed_ns = clock::ticks_to_ns(wait_start.wrapping_sub(self.start)) as f64;
+        let decision =
+            self.ctx
+                .arbiter
+                .decide(elapsed_ns + self.ctx.cleanup_ns, 2, &mut self.ctx.rng);
         if self.ctx.trace.is_some() {
             // Remembered so the abort event (if this attempt dies) can
             // report the grace the arbiter granted it.
             self.ctx.last_grace_ns = decision.grace as u64;
         }
-        let deadline = self.start.elapsed().as_nanos() as f64 + decision.grace;
-        let wait_start = Instant::now();
-        loop {
+        let deadline = wait_start.saturating_add(clock::ns_to_ticks(decision.grace));
+        let meta_word = &stm.pair(slot).meta;
+        // Requestor-wins, grace expired, owner flagged: from here only the
+        // release (or our own death) ends the wait, and the clock is no
+        // longer consulted.
+        let mut owner_flagged = false;
+        let outcome = loop {
             // Relaxed spin: we only watch for the lock bit to drop; the
             // caller's retried access performs its own Acquire load, so
             // no data is consumed under this ordering.
-            let meta = stm.pair(a).meta.load(Ordering::Relaxed);
+            let meta = meta_word.load(Ordering::Relaxed);
             if !is_locked(meta) {
-                self.ctx.stats.wait_cycles += wait_start.elapsed().as_nanos() as u64;
-                return Ok(());
+                break Ok(());
             }
             if self.killed() {
-                self.ctx.stats.wait_cycles += wait_start.elapsed().as_nanos() as u64;
-                return Err(Abort::RemoteKill);
+                break Err(Abort::RemoteKill);
             }
-            if self.start.elapsed().as_nanos() as f64 >= deadline {
-                self.ctx.stats.wait_cycles += wait_start.elapsed().as_nanos() as u64;
-                return match stm.mode {
-                    ResolutionMode::RequestorAborts => Err(Abort::Conflict),
+            if !owner_flagged && clock::now() >= deadline {
+                match stm.mode {
+                    ResolutionMode::RequestorAborts => break Err(Abort::Conflict),
                     ResolutionMode::RequestorWins => {
                         // Flag the owner; it self-aborts at its next safe
-                        // point and releases its locks. Spin for release.
-                        // Relaxed: advisory flag (see `killed`).
+                        // point and releases its locks. Relaxed: advisory
+                        // flag (see `killed`).
                         stm.kill_flags[owner_of(meta).min(stm.kill_flags.len() - 1)]
                             .store(true, Ordering::Relaxed);
-                        let _ = owner;
-                        loop {
-                            // Relaxed spin, as above.
-                            let m = stm.pair(a).meta.load(Ordering::Relaxed);
-                            if !is_locked(m) {
-                                return Ok(());
-                            }
-                            if self.killed() {
-                                return Err(Abort::RemoteKill);
-                            }
-                            std::hint::spin_loop();
-                        }
+                        owner_flagged = true;
                     }
-                };
+                }
             }
             std::hint::spin_loop();
+        };
+        self.ctx.stats.wait_cycles += clock::ticks_to_ns(clock::now().wrapping_sub(wait_start));
+        outcome
+    }
+
+    /// The slot of `a` if this attempt already holds a read entry for it.
+    #[inline]
+    fn read_slot(&self, a: Addr) -> Option<usize> {
+        if !self.rfilter.may_contain(a as u64) {
+            return None;
         }
+        self.ctx
+            .read_buf
+            .iter()
+            .find(|r| r.addr as usize == a)
+            .map(|r| r.slot as usize)
     }
 
     /// Transactional read.
@@ -974,18 +1157,30 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
         // short-circuits the common not-written-by-us case in one AND;
         // a hit (possibly false-positive) confirms against the set.
         if self.wfilter.may_contain(a as u64) {
-            if let Some(e) = self.writes.iter().find(|e| e.addr == a) {
+            if let Some(e) = self.ctx.write_buf.iter().find(|e| e.addr == a) {
                 return Ok(e.val);
             }
         }
-        let pair = self.ctx.stm.pair(a);
+        self.read_heap(a).map(|(v, _)| v)
+    }
+
+    /// Read `a` from the heap (the caller has ruled out read-your-writes)
+    /// and record it; returns the value and the word's slot.
+    fn read_heap(&mut self, a: Addr) -> Result<(u64, usize), Abort> {
+        // A word read before is re-read through its recorded slot and
+        // not recorded again: a re-read that passes the snapshot check
+        // below saw the very meta the first read recorded (any commit in
+        // between carries a version above `rv`).
+        let recorded = self.read_slot(a);
+        let slot = recorded.unwrap_or_else(|| self.ctx.stm.layout.slot(a));
+        let pair = self.ctx.stm.pair(slot);
         loop {
             // Seqlock word read (TL2 double-check). m1 Acquire: pairs
             // with the publisher's final Release meta store, so seeing
             // version m1 makes m1's value visible below.
             let m1 = pair.meta.load(Ordering::Acquire);
             if is_locked(m1) {
-                self.contend(a, owner_of(m1))?;
+                self.contend(slot)?;
                 continue;
             }
             // Acquire on the value: the m2 load cannot be hoisted above
@@ -1003,8 +1198,15 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
             if version_of(m1) > self.rv {
                 return Err(Abort::Validation); // newer than our snapshot
             }
-            self.reads.push((a, m1));
-            return Ok(v);
+            if recorded.is_none() {
+                self.rfilter.insert(a as u64);
+                self.ctx.read_buf.push(ReadEntry {
+                    addr: a as u32,
+                    slot: slot as u32,
+                    meta: m1,
+                });
+            }
+            return Ok((v, slot));
         }
     }
 
@@ -1015,16 +1217,21 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
             return Err(Abort::RemoteKill);
         }
         if self.wfilter.may_contain(a as u64) {
-            if let Some(e) = self.writes.iter_mut().find(|e| e.addr == a) {
+            if let Some(e) = self.ctx.write_buf.iter_mut().find(|e| e.addr == a) {
                 e.op = WriteOp::Set;
                 e.val = v;
                 e.delta = 0;
                 return Ok(());
             }
         }
+        // Mapped here, once, unless a read of this attempt already did.
+        let slot = self
+            .read_slot(a)
+            .unwrap_or_else(|| self.ctx.stm.layout.slot(a));
         self.wfilter.insert(a as u64);
-        self.writes.push(WriteEntry {
+        self.ctx.write_buf.push(WriteEntry {
             addr: a,
+            slot: slot as u32,
             op: WriteOp::Set,
             val: v,
             delta: 0,
@@ -1039,8 +1246,8 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
     /// point that makes same-key bursts coalesce.
     pub fn write_add(&mut self, a: Addr, delta: u64) -> Result<u64, Abort> {
         if self.wfilter.may_contain(a as u64) {
-            if let Some(i) = self.writes.iter().position(|e| e.addr == a) {
-                let e = &mut self.writes[i];
+            if let Some(i) = self.ctx.write_buf.iter().position(|e| e.addr == a) {
+                let e = &mut self.ctx.write_buf[i];
                 e.val = e.val.wrapping_add(delta);
                 if e.op == WriteOp::Add {
                     e.delta = e.delta.wrapping_add(delta);
@@ -1048,11 +1255,15 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
                 return Ok(e.val);
             }
         }
-        let v0 = self.read(a)?;
+        if self.killed() {
+            return Err(Abort::RemoteKill);
+        }
+        let (v0, slot) = self.read_heap(a)?;
         let val = v0.wrapping_add(delta);
         self.wfilter.insert(a as u64);
-        self.writes.push(WriteEntry {
+        self.ctx.write_buf.push(WriteEntry {
             addr: a,
+            slot: slot as u32,
             op: WriteOp::Add,
             val,
             delta,
@@ -1064,37 +1275,52 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
     /// validate the read set, publish under one clock bump. Read-only
     /// transactions commit without locking or bumping.
     fn commit(&mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.ctx.write_buf.is_empty() {
             return Ok(());
         }
-        // Address order prevents lock-order deadlocks between committers
-        // (entries are already unique per address).
-        self.writes.sort_unstable_by_key(|e| e.addr);
-        let mut restore = std::mem::take(&mut self.ctx.restore_buf);
-        restore.clear();
-        let out = self.commit_phases(&mut restore);
-        self.ctx.restore_buf = restore;
-        out
+        // One global acquisition order prevents lock-order deadlocks
+        // between committers (entries are already unique per word). Slot
+        // order, not key order: it is what the phases index by, and
+        // [`GroupCommit`] uses the same.
+        self.ctx.write_buf.sort_unstable_by_key(|e| e.slot);
+        self.ctx.restore_buf.clear();
+        self.acquire_write_locks()?;
+        self.ctx
+            .trace_event(TraceKind::Acquire, self.ctx.write_buf.len() as u64, 0);
+        if let Err(e) = self.validate_read_set() {
+            self.release_locks();
+            return Err(e);
+        }
+        self.ctx
+            .trace_event(TraceKind::Validate, self.ctx.read_buf.len() as u64, 0);
+        if self.killed() {
+            self.release_locks();
+            return Err(Abort::RemoteKill);
+        }
+        self.publish_writes();
+        self.ctx
+            .trace_event(TraceKind::Publish, self.ctx.write_buf.len() as u64, 0);
+        Ok(())
     }
 
-    /// Phase 1: acquire every write lock in address order, recording the
-    /// pre-lock metas in `restore` (parallel to the sorted write set). On
-    /// a held lock, contend under the grace policy; on failure, release
-    /// everything acquired so far.
-    fn acquire_write_locks(&mut self, restore: &mut MetaSet) -> Result<(), Abort> {
-        while restore.len() < self.writes.len() {
-            let a = self.writes[restore.len()].addr;
-            match lock_cell(self.ctx.stm, a, self.ctx.id, self.rv) {
-                Ok(prev) => restore.push(prev),
-                Err(LockFail::Busy(meta)) => {
-                    if let Err(e) = self.contend(a, owner_of(meta)) {
-                        self.release_locks(restore);
+    /// Phase 1: acquire every write lock in slot order, recording the
+    /// pre-lock metas in the restore set (parallel to the sorted write
+    /// set). On a held lock, contend under the grace policy; on failure,
+    /// release everything acquired so far.
+    fn acquire_write_locks(&mut self) -> Result<(), Abort> {
+        while self.ctx.restore_buf.len() < self.ctx.write_buf.len() {
+            let slot = self.ctx.write_buf[self.ctx.restore_buf.len()].slot as usize;
+            match lock_cell(self.ctx.stm, slot, self.ctx.id, self.rv) {
+                Ok(prev) => self.ctx.restore_buf.push(prev),
+                Err(LockFail::Busy) => {
+                    if let Err(e) = self.contend(slot) {
+                        self.release_locks();
                         return Err(e);
                     }
                     // Released within grace; retry the acquisition.
                 }
                 Err(LockFail::Stale) => {
-                    self.release_locks(restore);
+                    self.release_locks();
                     return Err(Abort::Validation);
                 }
             }
@@ -1103,15 +1329,17 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
     }
 
     /// Phase 2: every recorded read must still hold at our snapshot.
-    fn validate_read_set(&self, restore: &[u64]) -> Result<(), Abort> {
-        let prelock = |a: Addr| {
-            self.writes[..restore.len()]
-                .binary_search_by_key(&a, |e| e.addr)
+    fn validate_read_set(&self) -> Result<(), Abort> {
+        let (writes, restore) = (&self.ctx.write_buf, &self.ctx.restore_buf);
+        let prelock = |slot: usize| {
+            writes
+                .binary_search_by_key(&slot, |e| e.slot as usize)
                 .ok()
                 .map(|i| restore[i])
         };
-        for &(a, m1) in &self.reads {
-            if !validate_read(self.ctx.stm, self.ctx.id, a, m1, self.rv, prelock) {
+        for r in &self.ctx.read_buf {
+            let slot = r.slot as usize;
+            if !validate_read(self.ctx.stm, self.ctx.id, slot, r.meta, self.rv, prelock) {
                 return Err(Abort::Validation);
             }
         }
@@ -1125,7 +1353,7 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
     /// exceeds its clock sample and trust the chain.
     fn publish_writes(&self) {
         let stm = self.ctx.stm;
-        for e in self.writes.iter() {
+        for e in self.ctx.write_buf.iter() {
             // Relaxed: we already own the lock, so no third party may
             // write meta; visibility of the flag to snapshot readers is
             // carried by the AcqRel clock bump below — a reader whose rv
@@ -1133,7 +1361,7 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
             // the flag (or a later meta) at its own Acquire load. That
             // is exactly the "flagless lock ⇒ pending version > rv"
             // inference.
-            stm.pair(e.addr)
+            stm.pair(e.slot as usize)
                 .meta
                 .store(pack_locked(self.ctx.id) | PUBLISH_BIT, Ordering::Relaxed);
         }
@@ -1142,59 +1370,36 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
         // the stores after it) ordered after every earlier committer's
         // publication, preserving version monotonicity per word.
         let wv = stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
-        for e in self.writes.iter() {
-            let (pair, cold) = stm.parts(e.addr);
-            cold.push_chain(wv & VERSION_MASK, e.val);
+        for e in self.ctx.write_buf.iter() {
+            let slot = e.slot as usize;
+            stm.cold(slot).push_chain(wv & VERSION_MASK, e.val);
             // Release: a reader that Acquire-loads this value also sees
             // our locked meta (stored before it), which is what makes
             // the seqlock double-check sound.
-            pair.value.store(e.val, Ordering::Release);
+            stm.pair(slot).value.store(e.val, Ordering::Release);
         }
-        for e in self.writes.iter() {
+        for e in self.ctx.write_buf.iter() {
             // Release — THE publication point: pairs with readers' and
             // validators' Acquire meta loads; observing version wv makes
             // the value and chain stores above visible.
-            stm.pair(e.addr)
+            stm.pair(e.slot as usize)
                 .meta
                 .store(wv & VERSION_MASK, Ordering::Release);
         }
     }
 
-    fn release_locks(&self, restore: &[u64]) {
-        for (e, &prev) in self.writes.iter().zip(restore.iter()) {
+    /// Restore the pre-lock meta of every lock held so far.
+    fn release_locks(&self) {
+        for (e, &prev) in self.ctx.write_buf.iter().zip(self.ctx.restore_buf.iter()) {
             // Release: the unlock side of the meta handoff — pairs with
             // the next acquirer's CAS-Acquire (uniform with the publish
             // store, though an aborting release published nothing).
             self.ctx
                 .stm
-                .pair(e.addr)
+                .pair(e.slot as usize)
                 .meta
                 .store(prev, Ordering::Release);
         }
-    }
-
-    fn commit_phases(&mut self, restore: &mut MetaSet) -> Result<(), Abort> {
-        self.acquire_write_locks(restore)?;
-        if !self.writes.is_empty() {
-            self.ctx
-                .trace_event(TraceKind::Acquire, self.writes.len() as u64, 0);
-        }
-        if let Err(e) = self.validate_read_set(restore) {
-            self.release_locks(restore);
-            return Err(e);
-        }
-        self.ctx
-            .trace_event(TraceKind::Validate, self.reads.len() as u64, 0);
-        if self.killed() {
-            self.release_locks(restore);
-            return Err(Abort::RemoteKill);
-        }
-        self.publish_writes();
-        if !self.writes.is_empty() {
-            self.ctx
-                .trace_event(TraceKind::Publish, self.writes.len() as u64, 0);
-        }
-        Ok(())
     }
 }
 
@@ -1236,17 +1441,17 @@ impl PreparedTx {
         self.writes.iter().find(|e| e.addr == a).map(|e| e.val)
     }
 
-    fn writes_addr(&self, a: Addr) -> bool {
-        self.writes.iter().any(|e| e.addr == a)
+    fn writes_slot(&self, slot: usize) -> bool {
+        self.writes.iter().any(|e| e.slot as usize == slot)
     }
 
     /// Reads of words this transaction does *not* write — the reads that
-    /// constrain which group it may join.
-    fn plain_reads(&self) -> impl Iterator<Item = Addr> + '_ {
+    /// constrain which group it may join — by slot.
+    fn plain_reads(&self) -> impl Iterator<Item = usize> + '_ {
         self.reads
             .iter()
-            .map(|&(a, _)| a)
-            .filter(move |&a| !self.writes_addr(a))
+            .map(|r| r.slot as usize)
+            .filter(move |&slot| !self.writes_slot(slot))
     }
 }
 
@@ -1272,7 +1477,7 @@ pub enum MemberOutcome {
 ///    whose plain reads don't cross another member's writes (so every
 ///    group is serializable in member order);
 /// 2. **commits** each group through the shared three-phase pipeline:
-///    acquire the union of write locks in address order, validate every
+///    acquire the union of write locks in slot order, validate every
 ///    member's read set, publish the folded plan under a **single clock
 ///    bump**;
 /// 3. **falls back** members that meet a foreign lock, a too-new version,
@@ -1293,15 +1498,16 @@ pub struct GroupCommit {
     group: Vec<usize>,
     /// Members of the current group still eligible (commit-time scratch).
     active: Vec<usize>,
-    /// Partition-time write map of the current group: (addr, any-Set).
-    fit_writes: Vec<(Addr, bool)>,
-    /// Partition-time plain-read set of the current group's writers.
-    fit_reads: Vec<Addr>,
+    /// Partition-time write map of the current group: (slot, any-Set).
+    fit_writes: Vec<(usize, bool)>,
+    /// Partition-time plain-read slots of the current group's writers.
+    fit_reads: Vec<usize>,
     /// Commit-time publish plan: the deduped union of the group's write
-    /// addresses (fold structure is read off the members' entries).
-    slots: Vec<Addr>,
-    /// Commit-time pre-lock metas, parallel to `slots`' acquired prefix.
-    restore: Vec<(Addr, u64)>,
+    /// slots (fold structure is read off the members' entries).
+    slots: Vec<usize>,
+    /// Commit-time `(slot, pre-lock meta)`, parallel to `slots`' acquired
+    /// prefix.
+    restore: Vec<(usize, u64)>,
     /// Lifecycle trace sink for group-level events (one `GroupCommit`
     /// event per published group); `None` while tracing is off.
     trace: Option<Arc<Trace>>,
@@ -1327,16 +1533,17 @@ impl GroupCommit {
             return true;
         }
         for e in m.writes() {
-            match self.fit_writes.iter().find(|&&(a, _)| a == e.addr) {
+            let slot = e.slot as usize;
+            match self.fit_writes.iter().find(|&&(ws, _)| ws == slot) {
                 Some(&(_, set)) if set || e.op == WriteOp::Set => return false,
                 _ => {}
             }
-            if self.fit_reads.contains(&e.addr) {
+            if self.fit_reads.contains(&slot) {
                 return false;
             }
         }
         m.plain_reads()
-            .all(|a| !self.fit_writes.iter().any(|&(wa, _)| wa == a))
+            .all(|slot| !self.fit_writes.iter().any(|&(ws, _)| ws == slot))
     }
 
     /// Add `m` (batch index `mi`) to the current group. Only *writing*
@@ -1352,14 +1559,15 @@ impl GroupCommit {
             return;
         }
         for e in m.writes() {
-            match self.fit_writes.iter_mut().find(|(a, _)| *a == e.addr) {
-                Some(slot) => slot.1 |= e.op == WriteOp::Set,
-                None => self.fit_writes.push((e.addr, e.op == WriteOp::Set)),
+            let slot = e.slot as usize;
+            match self.fit_writes.iter_mut().find(|(ws, _)| *ws == slot) {
+                Some(entry) => entry.1 |= e.op == WriteOp::Set,
+                None => self.fit_writes.push((slot, e.op == WriteOp::Set)),
             }
         }
-        for a in m.plain_reads() {
-            if !self.fit_reads.contains(&a) {
-                self.fit_reads.push(a);
+        for slot in m.plain_reads() {
+            if !self.fit_reads.contains(&slot) {
+                self.fit_reads.push(slot);
             }
         }
     }
@@ -1438,15 +1646,15 @@ impl GroupCommit {
     /// unlock side of the meta handoff (pairs with acquirers' CAS-
     /// Acquire), same as the per-tx `release_locks`.
     fn release_held(&mut self, stm: &Stm) {
-        for &(a, prev) in &self.restore {
-            stm.pair(a).meta.store(prev, Ordering::Release);
+        for &(slot, prev) in &self.restore {
+            stm.pair(slot).meta.store(prev, Ordering::Release);
         }
         self.restore.clear();
     }
 
-    /// Evict every still-active member writing `a` (they fall back).
-    fn fail_writers_of(&mut self, a: Addr, members: &[PreparedTx]) {
-        self.active.retain(|&mi| !members[mi].writes_addr(a));
+    /// Evict every still-active member writing `slot` (they fall back).
+    fn fail_writers_of(&mut self, slot: usize, members: &[PreparedTx]) {
+        self.active.retain(|&mi| !members[mi].writes_slot(slot));
     }
 
     /// Commit the current group through acquire → validate → publish,
@@ -1468,15 +1676,16 @@ impl GroupCommit {
             self.slots.clear();
             for &mi in &self.active {
                 for e in members[mi].writes() {
-                    if !self.slots.contains(&e.addr) {
-                        self.slots.push(e.addr);
+                    if !self.slots.contains(&(e.slot as usize)) {
+                        self.slots.push(e.slot as usize);
                     }
                 }
             }
             self.slots.sort_unstable();
 
-            // Phase 1: acquire the union of write locks in address order.
-            // A foreign lock evicts that address's writers — no waiting
+            // Phase 1: acquire the union of write locks in slot order (the
+            // per-tx path's order). A foreign lock evicts that word's
+            // writers — no waiting
             // while the group holds locks; the evicted members' per-tx
             // re-run contends under the grace policy. No version check
             // here: blind writes may publish over any version (a later
@@ -1484,12 +1693,12 @@ impl GroupCommit {
             // read validity is entirely phase 2's job.
             self.restore.clear();
             for si in 0..self.slots.len() {
-                let a = self.slots[si];
-                match lock_cell(stm, a, owner, u64::MAX) {
-                    Ok(prev) => self.restore.push((a, prev)),
+                let slot = self.slots[si];
+                match lock_cell(stm, slot, owner, u64::MAX) {
+                    Ok(prev) => self.restore.push((slot, prev)),
                     Err(_) => {
                         self.release_held(stm);
-                        self.fail_writers_of(a, members);
+                        self.fail_writers_of(slot, members);
                         continue 'retry;
                     }
                 }
@@ -1502,10 +1711,10 @@ impl GroupCommit {
             let restore = &self.restore;
             self.active.retain(|&mi| {
                 let m = &members[mi];
-                let ok = m.reads.iter().all(|&(a, m1)| {
-                    validate_read(stm, owner, a, m1, m.rv, |a| {
+                let ok = m.reads.iter().all(|r| {
+                    validate_read(stm, owner, r.slot as usize, r.meta, m.rv, |slot| {
                         restore
-                            .binary_search_by_key(&a, |&(ra, _)| ra)
+                            .binary_search_by_key(&slot, |&(rs, _)| rs)
                             .ok()
                             .map(|i| restore[i].1)
                     })
@@ -1536,24 +1745,26 @@ impl GroupCommit {
                 // before the group's single AcqRel bump so snapshot
                 // readers can order themselves against it; Relaxed flag
                 // stores ride the bump's Release half.
-                for &(a, _) in &self.restore {
-                    stm.pair(a)
+                for &(slot, _) in &self.restore {
+                    stm.pair(slot)
                         .meta
                         .store(pack_locked(owner) | PUBLISH_BIT, Ordering::Relaxed);
                 }
                 let wv = stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
                 let mut coalesced = 0u64;
                 for si in 0..self.slots.len() {
-                    let a = self.slots[si];
+                    let slot = self.slots[si];
+                    let pair = stm.pair(slot);
                     // Relaxed: we hold the word's lock, and the lock
                     // CAS's Acquire synchronized with the previous
                     // publisher's Release, so this reads the latest
                     // published value without further ordering.
-                    let mut val = stm.pair(a).value.load(Ordering::Relaxed);
+                    let mut val = pair.value.load(Ordering::Relaxed);
                     let mut first = true;
                     for gi in 0..self.active.len() {
                         let mi = self.active[gi];
-                        if let Some(i) = members[mi].writes.iter().position(|e| e.addr == a) {
+                        let at = |e: &WriteEntry| e.slot as usize == slot;
+                        if let Some(i) = members[mi].writes.iter().position(at) {
                             if !first {
                                 coalesced += 1;
                             }
@@ -1571,15 +1782,16 @@ impl GroupCommit {
                     // Chain slot first (Release stores inside), then the
                     // hot value with Release so the subsequent meta
                     // Release publication makes both visible together.
-                    let (pair, cold) = stm.parts(a);
-                    cold.push_chain(wv & VERSION_MASK, val);
+                    stm.cold(slot).push_chain(wv & VERSION_MASK, val);
                     pair.value.store(val, Ordering::Release);
                 }
-                for &(a, _) in &self.restore {
+                for &(slot, _) in &self.restore {
                     // Release: THE publication point for the group — a
                     // reader whose Acquire meta load sees `wv` also sees
                     // every value/chain store above.
-                    stm.pair(a).meta.store(wv & VERSION_MASK, Ordering::Release);
+                    stm.pair(slot)
+                        .meta
+                        .store(wv & VERSION_MASK, Ordering::Release);
                 }
                 self.restore.clear();
                 stats.record_group_commit(self.active.len() as u64, coalesced);
@@ -1853,15 +2065,54 @@ mod tests {
                 let s = l.slot(k);
                 assert!(s < l.slots(), "slot {s} out of range for {words}/{shards}");
                 assert!(seen.insert(s), "key {k} collides at slot {s}");
-                // No two keys of different shards may share a cache line.
+                // No two keys of different shards may share a cache line,
+                // in the hot array or in the cold one.
                 for k2 in 0..words {
                     if k2 % l.shards() != k % l.shards() {
+                        let s2 = l.slot(k2);
                         assert_ne!(
-                            ShardLayout::line_of_slot(l.slot(k2)),
+                            ShardLayout::line_of_slot(s2),
                             ShardLayout::line_of_slot(s),
-                            "keys {k}/{k2} of different shards share a line"
+                            "keys {k}/{k2} of different shards share a hot line"
+                        );
+                        let (c, c2) = (
+                            ShardLayout::cold_lines_of_slot(s),
+                            ShardLayout::cold_lines_of_slot(s2),
+                        );
+                        assert!(
+                            c.end() < c2.start() || c2.end() < c.start(),
+                            "keys {k}/{k2} of different shards share a cold line"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_cells_of_different_shards_never_share_a_line_in_memory() {
+        // The same guarantee on real addresses: `cold_lines_of_slot`
+        // assumes slot 0's cell starts a line, which `cold_skip` arranges.
+        // (At the parent commit, shard segments of 4 x 72 bytes made every
+        // odd boundary fall mid-line.)
+        for (words, shards) in [(64usize, 4usize), (100, 7), (4096, 2)] {
+            let stm = Stm::with_layout(words, 1, shards, ResolutionMode::RequestorAborts);
+            assert_eq!(stm.cold(0) as *const ColdCell as usize % 64, 0);
+            let mut owner = std::collections::HashMap::new();
+            for k in 0..words {
+                let slot = stm.layout.slot(k);
+                let at = stm.cold(slot) as *const ColdCell as usize;
+                assert_eq!(
+                    at,
+                    stm.cold(0) as *const ColdCell as usize + slot * COLD_CELL_BYTES
+                );
+                for line in at / 64..=(at + COLD_CELL_BYTES - 1) / 64 {
+                    let prev = *owner.entry(line).or_insert(k % shards);
+                    assert_eq!(
+                        prev,
+                        k % shards,
+                        "cold line shared ({words}/{shards}, key {k})"
+                    );
                 }
             }
         }
@@ -1875,6 +2126,138 @@ mod tests {
         // elements follows from the type's alignment.
         let stm = Stm::with_layout(10, 2, 3, ResolutionMode::RequestorWins);
         assert_eq!(stm.hot.as_ptr() as usize % 64, 0);
+    }
+
+    #[test]
+    fn clock_and_kill_flags_each_own_a_128_byte_line() {
+        // The `const` block beside `Stm` pins the header's field offsets;
+        // this checks what it cannot, on a live heap: the clock's address
+        // and the separately allocated flags.
+        let stm = Stm::with_layout(64, 4, 2, ResolutionMode::RequestorWins);
+        let clock = &*stm.clock as *const AtomicU64 as usize;
+        assert_eq!(clock % 128, 0);
+        let lines: Vec<usize> = stm
+            .kill_flags
+            .iter()
+            .map(|f| &**f as *const AtomicBool as usize / 128)
+            .collect();
+        for (i, line) in lines.iter().enumerate() {
+            assert!(!lines[..i].contains(line), "kill flag {i} shares a line");
+            assert_ne!(*line, clock / 128);
+        }
+    }
+
+    #[test]
+    fn reciprocal_divides_exactly_at_the_edges() {
+        for d in (1..=70u32).chain([4095, 4096, 65_537, u32::MAX - 1, u32::MAX]) {
+            let r = Reciprocal::new(d);
+            let near = |x: u32| [x.wrapping_sub(1), x, x.wrapping_add(1)];
+            let ks = [0u32, 1, 2, u32::MAX / 2, u32::MAX - 1, u32::MAX]
+                .into_iter()
+                .chain(near(d))
+                .chain(near(d.wrapping_mul(3)))
+                .chain(near(u32::MAX / d * d));
+            for k in ks {
+                assert_eq!(r.div_rem(k), (k / d, k % d), "{k} by {d}");
+            }
+        }
+    }
+
+    /// The benchmark's transaction: read two words, then increment both.
+    fn read2_add2<P: GracePolicy>(tx: &mut Tx<'_, '_, P>, a: Addr, b: Addr) -> Result<u64, Abort> {
+        let sum = tx.read(a)? + tx.read(b)?;
+        tx.write_add(a, 1)?;
+        tx.write_add(b, 1)?;
+        Ok(sum + tx.read(a)?)
+    }
+
+    #[test]
+    fn rereads_are_recorded_once_per_word() {
+        // `write_add` after `read` of the same word re-reads it: the read
+        // set must hold one entry per distinct word (the parent commit
+        // validated 4 entries for these 2 words), with the results, the
+        // heap and the traced validate count to match.
+        let stm = Stm::with_layout(64, 1, 2, ResolutionMode::RequestorAborts);
+        stm.write_direct(5, 50);
+        stm.write_direct(8, 80);
+        let trace = Arc::new(Trace::new(1, &tcp_core::trace::TraceConfig::default()));
+        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
+        t.set_trace(Arc::clone(&trace));
+        let out = t.run(|tx| read2_add2(tx, 5, 8));
+        assert_eq!(out, 50 + 80 + 51);
+        assert_eq!(t.read_buf.len(), 2, "one read entry per distinct word");
+        assert_eq!((stm.read_direct(5), stm.read_direct(8)), (51, 81));
+        // Re-reading without writing: still one entry, same value.
+        let twice = t.run(|tx| Ok((tx.read(5)?, tx.read(5)?)));
+        assert_eq!(twice, (51, 51));
+        assert_eq!(t.read_buf.len(), 1);
+        let validated: Vec<u64> = trace
+            .finish()
+            .events
+            .iter()
+            .filter(|e| e.kind == TraceKind::Validate)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(validated, [2], "Validate reports the deduped read set");
+    }
+
+    #[test]
+    fn each_distinct_word_is_mapped_to_its_slot_once_per_attempt() {
+        let stm = Stm::with_layout(64, 1, 2, ResolutionMode::RequestorAborts);
+        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
+        let calls = || SLOT_CALLS.with(|c| c.get());
+        let before = calls();
+        t.run(|tx| read2_add2(tx, 5, 8));
+        assert_eq!(calls() - before, 2, "2 words: 2 mappings, commit included");
+        // Blind writes and write-after-read map once too.
+        let before = calls();
+        t.run(|tx| {
+            tx.write(3, 1)?;
+            tx.write(3, 2)?;
+            tx.read(4)?;
+            tx.write(4, 9)?;
+            tx.read(3)
+        });
+        assert_eq!(calls() - before, 2);
+    }
+
+    #[test]
+    fn requestor_wins_wait_is_counted_to_the_release() {
+        // Thread 1 "holds" word 0's lock; a RandRw requestor meets it,
+        // waits out its (sub-microsecond) grace, flags the owner and then
+        // spins until the release. The whole of that is the wait — the
+        // parent commit stopped counting at the flag.
+        let stm = Stm::with_mode(4, 2, ResolutionMode::RequestorWins);
+        let meta = &stm.pair(0).meta;
+        let free = meta.load(Ordering::SeqCst);
+        meta.store(pack_locked(1), Ordering::SeqCst);
+        let held_after_flag = std::time::Duration::from_millis(3);
+        let (stats, ran) = std::thread::scope(|s| {
+            let requestor = s.spawn(|| {
+                let mut t = ctx(&stm, 0, RandRw);
+                let t0 = std::time::Instant::now();
+                assert_eq!(t.run(|tx| tx.read(0)), 0);
+                (t.stats, t0.elapsed())
+            });
+            // The flag going up is the grace expiring; hold on from there.
+            while !stm.kill_flags[1].load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            let flagged = std::time::Instant::now();
+            while flagged.elapsed() < held_after_flag {
+                std::hint::spin_loop();
+            }
+            meta.store(free, Ordering::SeqCst);
+            requestor.join().expect("requestor panicked")
+        });
+        assert_eq!((stats.commits, stats.aborts), (1, 0));
+        assert_eq!(stats.arbiter_consults, 1);
+        let (lo, hi) = (held_after_flag.as_nanos() as u64, ran.as_nanos() as u64);
+        assert!(
+            stats.wait_cycles >= lo - lo / 50 && stats.wait_cycles <= hi + hi / 50,
+            "wait_cycles {} outside [{lo}, {hi}] (2% clock slack)",
+            stats.wait_cycles
+        );
     }
 
     #[test]

@@ -544,11 +544,12 @@ mod snapshot_atomicity {
     }
 }
 
-/// The shard-major heap layout must map keys to hot-array slots
-/// bijectively — every key gets exactly one slot, no two keys collide —
-/// and must never place keys of different shards on the same padded
-/// cache line (that would reintroduce the false sharing the layout
-/// exists to eliminate).
+/// The shard-major heap layout must map keys to slots bijectively —
+/// every key gets exactly one slot, no two keys collide — and must never
+/// place keys of different shards on the same cache line of the hot *or*
+/// the cold array (that would reintroduce the false sharing the layout
+/// exists to eliminate). The mapping divides by reciprocal; that must
+/// agree with `/` and `%` everywhere.
 mod shard_layout_bijection {
     use super::*;
 
@@ -568,20 +569,33 @@ mod shard_layout_bijection {
         #[test]
         fn shards_never_share_a_cache_line(words in 1usize..300, shards in 1usize..12) {
             let l = ShardLayout::new(words, shards);
-            // line -> owning shard; a line owned by two shards is a bug.
-            let mut owner = std::collections::HashMap::new();
+            // line -> owning shard, per array; a line owned by two shards
+            // is a bug. A 72-byte cold cell overlaps up to two lines.
+            let mut hot_owner = std::collections::HashMap::new();
+            let mut cold_owner = std::collections::HashMap::new();
             for k in 0..words {
-                let line = ShardLayout::line_of_slot(l.slot(k));
+                let slot = l.slot(k);
                 let shard = k % l.shards();
-                if let Some(&prev) = owner.get(&line) {
+                let hot = ShardLayout::line_of_slot(slot);
+                let prev = *hot_owner.entry(hot).or_insert(shard);
+                prop_assert!(
+                    prev == shard,
+                    "hot line {hot} shared by shards {prev} and {shard} (words={words}, shards={shards})"
+                );
+                for cold in ShardLayout::cold_lines_of_slot(slot) {
+                    let prev = *cold_owner.entry(cold).or_insert(shard);
                     prop_assert!(
                         prev == shard,
-                        "line {line} shared by shards {prev} and {shard} (words={words}, shards={shards})"
+                        "cold line {cold} shared by shards {prev} and {shard} (words={words}, shards={shards})"
                     );
-                } else {
-                    owner.insert(line, shard);
                 }
             }
+        }
+
+        #[test]
+        fn reciprocal_agrees_with_division(k in 0u64..1 << 32, shards in 1u32..4097) {
+            let k = k as u32;
+            prop_assert_eq!(Reciprocal::new(shards).div_rem(k), (k / shards, k % shards));
         }
 
         #[test]
