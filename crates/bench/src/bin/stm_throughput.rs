@@ -6,9 +6,7 @@ use std::time::Duration;
 use tcp_bench::table;
 use tcp_core::policy::NoDelay;
 use tcp_core::randomized::{RandRa, RandRw};
-use tcp_stm::throughput::{
-    lockfree_stack_throughput, stack_throughput, txapp_throughput, Throughput,
-};
+use tcp_stm::throughput::{stack_throughput, txapp_throughput, Throughput};
 
 fn print(workload: &str, name: &str, r: Throughput) {
     table::row(&[
@@ -42,7 +40,6 @@ fn main() {
         );
         print("stack", "RRA", stack_throughput(RandRa, t, dur, 2));
         print("stack", "RRW", stack_throughput(RandRw, t, dur, 3));
-        print("stack", "LOCKFREE", lockfree_stack_throughput(t, dur));
     }
     for &t in &threads {
         print(

@@ -16,7 +16,7 @@
 //! | `abort_prob` | §5.3 abort probabilities |
 //! | `corollary1` | §6 global competitiveness bound |
 //! | `corollary2` | §7 progress guarantee |
-//! | `stm_throughput` | STM real-thread sweep + lock-free baseline (extension) |
+//! | `stm_throughput` | STM real-thread sweep (extension) |
 //! | `hybrid_ablation` | §1 hybrid strategy (extension) |
 //! | `chain_ablation` | chain-aware policies in the simulator (extension) |
 //! | `optimality` | fictitious-play game values vs analytic optima |

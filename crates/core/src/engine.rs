@@ -147,13 +147,8 @@ pub struct EngineStats {
     /// Run duration (simulated cycles / wall nanoseconds). Merging takes
     /// the max: shards of one run share a horizon, they don't extend it.
     pub cycles: u64,
-    /// Per-commit latency samples, when exact-sample recording is enabled
-    /// (see [`record_latency`](Self::record_latency)).
-    pub latencies: Vec<u64>,
-    /// Streaming log-bucketed view of the same latencies — what
-    /// [`latency_percentile`](Self::latency_percentile) reads. High-volume
-    /// paths (the KV server) record here only, via
-    /// [`record_latency_streaming`](Self::record_latency_streaming). On the
+    /// Per-commit latencies, log-bucketed ([`record_latency`](Self::record_latency)
+    /// writes, [`latency_percentile`](Self::latency_percentile) reads). On the
     /// serving path this is the **sojourn time** (enqueue → response), which
     /// decomposes into [`queue_wait_hist`](Self::queue_wait_hist) +
     /// [`service_hist`](Self::service_hist).
@@ -222,7 +217,6 @@ impl EngineStats {
         self.idle_parks += other.idle_parks;
         self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
         self.cycles = self.cycles.max(other.cycles);
-        self.latencies.extend_from_slice(&other.latencies);
         self.latency_hist.merge(&other.latency_hist);
         self.queue_wait_hist.merge(&other.queue_wait_hist);
         self.service_hist.merge(&other.service_hist);
@@ -324,18 +318,16 @@ impl EngineStats {
         self.total_ratio / self.trials as f64
     }
 
-    /// Record one commit latency: exact sample *and* streaming histogram.
-    /// Substrates with bounded sample counts (the HTM simulator) use this
-    /// so both the approximate and the exact percentile paths work.
+    /// Record one commit latency (streaming: O(1), no sample kept).
     pub fn record_latency(&mut self, v: u64) {
-        self.latencies.push(v);
         self.latency_hist.record(v);
     }
 
-    /// Record one commit latency into the streaming histogram only — the
-    /// serving path, where keeping every sample would grow without bound.
+    /// [`record_latency`](Self::record_latency) under the name the repo
+    /// benchmark's probe calls it by; nothing in the workspace uses it.
+    #[doc(hidden)]
     pub fn record_latency_streaming(&mut self, v: u64) {
-        self.latency_hist.record(v);
+        self.record_latency(v);
     }
 
     /// Record the queue wait of one request (enqueue → pop), streaming.
@@ -403,36 +395,8 @@ impl EngineStats {
     /// sorting, relative error ≤ 1/[`crate::hist::SUB_BUCKETS`] (≈ 3.2%;
     /// exact below [`crate::hist::LINEAR_BUCKETS`]). Returns 0 when no
     /// latencies were recorded.
-    ///
-    /// Samples pushed straight into the public [`latencies`](Self::latencies)
-    /// Vec (the pre-histogram recording pattern) never reach the histogram;
-    /// when only such samples exist this falls back to the exact
-    /// nearest-rank computation on a sorted copy, so legacy callers keep
-    /// getting real percentiles instead of 0.
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        if self.latency_hist.is_empty() && !self.latencies.is_empty() {
-            debug_assert!((0.0..=100.0).contains(&p));
-            let mut sorted = self.latencies.clone();
-            sorted.sort_unstable();
-            let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-            return sorted[idx];
-        }
         self.latency_hist.percentile(p)
-    }
-
-    /// Exact nearest-rank latency percentile over the raw samples — the
-    /// pre-histogram behavior, kept for tests and small offline runs. Sorts
-    /// the sample `Vec` (O(n log n) per call); only samples recorded via
-    /// [`record_latency`](Self::record_latency) (or pushed directly into
-    /// [`latencies`](Self::latencies)) are visible here.
-    pub fn latency_percentile_exact(&mut self, p: f64) -> u64 {
-        if self.latencies.is_empty() {
-            return 0;
-        }
-        debug_assert!((0.0..=100.0).contains(&p));
-        self.latencies.sort_unstable();
-        let idx = ((p / 100.0) * (self.latencies.len() - 1) as f64).round() as usize;
-        self.latencies[idx]
     }
 }
 
@@ -990,46 +954,13 @@ mod tests {
         for v in (1..=100u64).rev() {
             s.record_latency(v);
         }
-        // Exact path: nearest rank over the sorted raw samples.
-        assert_eq!(s.latency_percentile_exact(0.0), 1);
-        assert_eq!(s.latency_percentile_exact(50.0), 51);
-        assert_eq!(s.latency_percentile_exact(100.0), 100);
-        // Streaming path: exact in the linear region, upper-edge with
-        // bounded error above it, clamped to the observed max.
+        // Exact in the linear region, upper-edge with bounded error above
+        // it, clamped to the observed max.
         assert_eq!(s.latency_percentile(0.0), 1);
         assert_eq!(s.latency_percentile(50.0), 51);
         assert_eq!(s.latency_percentile(100.0), 100);
         let empty = EngineStats::default();
         assert_eq!(empty.latency_percentile(99.0), 0);
-        assert_eq!(EngineStats::default().latency_percentile_exact(99.0), 0);
-    }
-
-    #[test]
-    fn direct_vec_pushes_still_yield_percentiles() {
-        // The pre-histogram recording pattern: samples pushed straight into
-        // the public Vec, histogram never touched. Must fall back to the
-        // exact path, not return 0.
-        let s = EngineStats {
-            latencies: (1..=100).rev().collect(),
-            ..Default::default()
-        };
-        assert_eq!(s.latency_percentile(0.0), 1);
-        assert_eq!(s.latency_percentile(50.0), 51);
-        assert_eq!(s.latency_percentile(100.0), 100);
-    }
-
-    #[test]
-    fn streaming_only_latencies_skip_the_sample_vec() {
-        let mut s = EngineStats::default();
-        for v in [10u64, 20, 30] {
-            s.record_latency_streaming(v);
-        }
-        assert!(
-            s.latencies.is_empty(),
-            "streaming path must not keep samples"
-        );
-        assert_eq!(s.latency_percentile(100.0), 30);
-        assert_eq!(s.latency_percentile_exact(100.0), 0, "no raw samples kept");
     }
 
     #[test]
@@ -1038,7 +969,7 @@ mod tests {
         a.record_queue_wait(10);
         a.record_queue_wait(30);
         a.record_service(5);
-        a.record_latency_streaming(35);
+        a.record_latency(35);
         let mut b = EngineStats::default();
         b.record_queue_wait(50);
         b.record_service(7);
@@ -1097,7 +1028,7 @@ mod tests {
         assert_eq!(s.queue_wait_percentile(100.0), 40);
         assert_eq!(s.queue_wait_percentile(0.0), 10);
         // Per-thread latency records are visible through the sharded view.
-        s.per_thread[0].record_latency_streaming(7);
+        s.per_thread[0].record_latency(7);
         assert_eq!(s.latency_percentile(100.0), 7);
     }
 

@@ -1,19 +1,18 @@
 //! A log-bucketed streaming latency histogram (HdrHistogram-lite).
 //!
-//! [`EngineStats::latency_percentile`](crate::engine::EngineStats) used to
-//! sort the full per-sample `Vec` on every call — fine for a figure bin
-//! that asks for four percentiles once, hopeless for a serving path that
-//! streams millions of samples and reports p50/p90/p99/p999 continuously.
-//! [`LatencyHistogram`] replaces the sort with O(1) recording into
-//! geometrically spaced buckets and O(buckets) percentile queries, at a
+//! The one latency recorder behind
+//! [`EngineStats`](crate::engine::EngineStats): a serving path streams
+//! millions of samples and reports p50/p90/p99/p999 continuously, so no
+//! sample is kept. [`LatencyHistogram`] records in O(1) into geometrically
+//! spaced buckets and answers percentile queries in O(buckets), at a
 //! bounded relative error.
 //!
 //! Bucketing: values below [`LINEAR_BUCKETS`] get exact unit-width buckets;
 //! each power-of-two range `[2^m, 2^{m+1})` above that is split into
 //! [`SUB_BUCKETS`] equal sub-buckets, so the reported value of any sample
 //! is within `1/SUB_BUCKETS` (≈ 3.2%) of the true one. Percentiles use the
-//! same nearest-rank convention as the exact path and report a bucket's
-//! upper edge, clamped to the observed min/max.
+//! nearest-rank convention and report a bucket's upper edge, clamped to
+//! the observed min/max.
 //!
 //! The histogram is mergeable (counts add), `PartialEq` by logical content
 //! (an empty histogram equals a never-allocated one), and deterministic:

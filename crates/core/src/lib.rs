@@ -53,6 +53,7 @@ pub mod policy;
 pub mod profiler;
 pub mod progress;
 pub mod randomized;
+pub mod ring;
 pub mod rng;
 pub mod smallset;
 pub mod trace;
@@ -82,8 +83,7 @@ pub mod prelude {
     pub use crate::rng::{uniform01, uniform_in, uniform_u64_below, Xoshiro256StarStar};
     pub use crate::smallset::{InlineVec, KeyFilter};
     pub use crate::trace::{
-        HotKeyTable, Trace, TraceCause, TraceConfig, TraceEvent, TraceKind, TraceReport, TraceRing,
-        TraceTag,
+        HotKeyTable, Trace, TraceCause, TraceConfig, TraceEvent, TraceKind, TraceReport, TraceTag,
     };
 }
 

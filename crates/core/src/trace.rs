@@ -5,12 +5,12 @@
 //! not *which keys*, *which phase*, or *when within the run*. This module
 //! is the event-level substrate underneath those aggregates:
 //!
-//! * [`TraceRing`] — a bounded, lock-free, per-shard event ring in the
-//!   style of Vyukov's bounded queue (per-slot sequence numbers, CAS
-//!   ticket cursors), except that a full ring **drops** the event and
-//!   counts it ([`TraceRing::dropped`]) instead of shedding backpressure
-//!   onto the traced path. Emission is a ticket CAS plus two plain
-//!   stores; it never blocks and never allocates.
+//! * One bounded lock-free event ring per shard — the workspace's
+//!   [`Ring`] (see [`crate::ring`] for the protocol) — on
+//!   which any refusal **drops** the event and counts it
+//!   ([`Trace::dropped`]) instead of shedding backpressure onto the traced
+//!   path. Emission is a ticket CAS plus two plain stores; it never blocks
+//!   and never allocates.
 //! * [`TraceEvent`] / [`TraceKind`] — one fixed-size timestamped record
 //!   per lifecycle step: enqueue, pop/steal, speculate, the three commit
 //!   phases, group publish/fallback, abort (with cause **and the granted
@@ -31,13 +31,12 @@
 //! path, measured at well under 3% even when enabled (`trace_ab` in the
 //! `serve` bench).
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::clock;
 use crate::engine::AbortKind;
 use crate::hist::LatencyHistogram;
+use crate::ring::Ring;
 
 /// Lifecycle tracing knobs. Disabled by default; the serving layer embeds
 /// one in its run configuration.
@@ -46,9 +45,8 @@ pub struct TraceConfig {
     /// Record lifecycle events (off = every emission point is one
     /// never-taken branch).
     pub enabled: bool,
-    /// Per-shard ring capacity in events (rounded up to a power of two).
-    /// A full ring drops new events and counts them; it never blocks the
-    /// traced path.
+    /// Per-shard ring capacity in events (at least 1). A full ring drops
+    /// new events and counts them; it never blocks the traced path.
     pub ring_capacity: usize,
 }
 
@@ -277,177 +275,6 @@ impl TraceEvent {
     }
 }
 
-/// One ring slot: a Vyukov sequence number gating ownership plus the
-/// payload. Same invariant as the request rings: `seq == pos` means free
-/// for the producer winning ticket `pos`, `seq == pos + 1` means
-/// published, and consumption stores `seq = pos + ring_len` for the next
-/// lap.
-struct Slot {
-    seq: AtomicU64,
-    ev: UnsafeCell<MaybeUninit<TraceEvent>>,
-}
-
-/// A bounded, lock-free MPMC event ring that **drops on full**.
-///
-/// Producers (executors, clients through the router, the STM commit
-/// path) reserve a ticket with a CAS on `tail`; a producer that finds
-/// its slot still occupied by last lap's event gives up immediately,
-/// counts the drop, and returns — tracing never applies backpressure to
-/// the traced path. Consumption ([`pop`](Self::pop)) uses the same
-/// CAS-claimed head protocol as the request rings, so a concurrent
-/// drain is safe (in practice the report drains once, after the run).
-pub struct TraceRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    tail: AtomicU64,
-    head: AtomicU64,
-    dropped: AtomicU64,
-}
-
-// SAFETY: slot payloads are handed between threads under the per-slot
-// `seq` protocol — written once by the ticket-winning producer before the
-// Release publish of `seq = pos + 1`, read once by the consumer whose
-// head CAS claimed the position after an Acquire load observed the
-// publication. `TraceEvent` is `Copy + Send`.
-unsafe impl Send for TraceRing {}
-unsafe impl Sync for TraceRing {}
-
-impl TraceRing {
-    /// A ring of at least `capacity` slots (rounded up to a power of
-    /// two, minimum 2).
-    pub fn new(capacity: usize) -> Self {
-        let ring = capacity.max(2).next_power_of_two();
-        Self {
-            slots: (0..ring)
-                .map(|i| Slot {
-                    seq: AtomicU64::new(i as u64),
-                    ev: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-            mask: (ring - 1) as u64,
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Slots in the ring (the drop-free capacity).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Append `ev`, or drop it (counted) when the ring is full. Returns
-    /// whether the event was recorded. Lock-free: a push finishes in a
-    /// bounded number of steps unless other producers keep winning the
-    /// ticket CAS.
-    ///
-    /// Ordering discipline (Vyukov's original): the per-slot `seq`
-    /// Acquire/Release pair is the *only* publication edge — a consumer
-    /// that Acquire-observes `seq == pos + 1` synchronizes with the
-    /// producer's Release store and sees the payload. The `tail`/`head`
-    /// ticket cursors carry no payload, only position reservation, so
-    /// every access to them is `Relaxed`: a stale cursor read is
-    /// corrected by the slot's own `seq` check (the Greater arm) or by
-    /// the CAS failing.
-    pub fn push(&self, ev: TraceEvent) -> bool {
-        // Relaxed: a stale ticket only re-routes us through the seq check.
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(tail & self.mask) as usize];
-            // Acquire: pairs with the consumer's Release store of
-            // `pos + ring_len` — observing a freed slot means its
-            // previous payload was fully read out.
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = (seq as i64).wrapping_sub(tail as i64);
-            match dif.cmp(&0) {
-                std::cmp::Ordering::Equal => {
-                    // Relaxed CAS: winning the ticket publishes nothing —
-                    // the payload is published by the Release `seq` store
-                    // below, after the slot is written.
-                    match self.tail.compare_exchange_weak(
-                        tail,
-                        tail.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            unsafe { (*slot.ev.get()).write(ev) };
-                            slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                            return true;
-                        }
-                        Err(t) => tail = t,
-                    }
-                }
-                // The slot still holds last lap's unconsumed event: the
-                // ring is full. Drop-on-full, never block the traced path.
-                std::cmp::Ordering::Less => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                // Another producer lapped us between the loads; refresh.
-                std::cmp::Ordering::Greater => tail = self.tail.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Claim and take the oldest published event, if any. Same ordering
-    /// discipline as [`push`](Self::push): the slot `seq` Acquire load is
-    /// what synchronizes with the producer's publication; the `head`
-    /// cursor is a Relaxed ticket.
-    pub fn pop(&self) -> Option<TraceEvent> {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(head & self.mask) as usize];
-            // Acquire: pairs with the producer's Release `seq = pos + 1`
-            // store; observing it makes the payload write visible.
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = (seq as i64).wrapping_sub(head.wrapping_add(1) as i64);
-            match dif.cmp(&0) {
-                std::cmp::Ordering::Equal => {
-                    // Relaxed CAS: claiming the position reads the payload
-                    // under the Acquire edge already established above.
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let ev = unsafe { (*slot.ev.get()).assume_init_read() };
-                            slot.seq.store(
-                                head.wrapping_add(self.slots.len() as u64),
-                                Ordering::Release,
-                            );
-                            return Some(ev);
-                        }
-                        Err(h) => head = h,
-                    }
-                }
-                std::cmp::Ordering::Less => return None,
-                std::cmp::Ordering::Greater => head = self.head.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Events currently recorded but not yet drained (racy snapshot —
-    /// Relaxed loads; the value is advisory and stale by the time the
-    /// caller acts on it regardless of ordering).
-    pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Relaxed);
-        tail.wrapping_sub(head) as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 /// Count-min sketch depth (independent hash rows).
 pub const SKETCH_ROWS: usize = 4;
 /// Count-min sketch width per row (power of two).
@@ -594,14 +421,43 @@ impl HotKeyTable {
     }
 }
 
-/// Per-shard trace state: the event ring plus the never-dropped
-/// attribution side: abort counters by cause, shed counters by cause,
-/// and the hot-key abort table.
+/// Per-shard trace state: the event ring and the count of events it
+/// refused, plus the never-dropped attribution side: abort counters by
+/// cause, shed counters by cause, and the hot-key abort table.
 struct ShardTrace {
-    ring: TraceRing,
+    ring: Ring<TraceEvent>,
+    /// Events the ring refused, whatever the reason (full, or lapped onto
+    /// a slot a drain has not released yet): the traced path never waits.
+    dropped: AtomicU64,
     aborts: [AtomicU64; ABORT_CAUSES],
     sheds: [AtomicU64; SHED_CAUSES],
     hot: HotKeyTable,
+}
+
+impl ShardTrace {
+    fn new(ring_capacity: usize) -> Self {
+        Self {
+            ring: Ring::new(ring_capacity.max(1)),
+            dropped: AtomicU64::new(0),
+            aborts: std::array::from_fn(|_| AtomicU64::new(0)),
+            sheds: std::array::from_fn(|_| AtomicU64::new(0)),
+            hot: HotKeyTable::new(),
+        }
+    }
+
+    /// Put `ev` on the ring, or count it dropped. Returns whether it was
+    /// recorded.
+    fn record(&self, ev: TraceEvent) -> bool {
+        let recorded = self.ring.try_push(ev).is_ok();
+        if !recorded {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        recorded
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
 }
 
 /// One tracing session: per-shard rings + attribution tables and the
@@ -635,12 +491,7 @@ impl Trace {
         Self {
             epoch_ticks: clock::now(),
             shards: (0..shards)
-                .map(|_| ShardTrace {
-                    ring: TraceRing::new(cfg.ring_capacity),
-                    aborts: std::array::from_fn(|_| AtomicU64::new(0)),
-                    sheds: std::array::from_fn(|_| AtomicU64::new(0)),
-                    hot: HotKeyTable::new(),
-                })
+                .map(|_| ShardTrace::new(cfg.ring_capacity))
                 .collect(),
         }
     }
@@ -667,12 +518,12 @@ impl Trace {
         } else if let Some(i) = ev.cause.shed_index() {
             st.sheds[i].fetch_add(1, Ordering::Relaxed);
         }
-        st.ring.push(ev);
+        st.record(ev);
     }
 
     /// Events dropped across all shards so far.
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.ring.dropped()).sum()
+        self.shards.iter().map(ShardTrace::dropped).sum()
     }
 
     /// Occupied hot-key slots across all shards.
@@ -694,10 +545,10 @@ impl Trace {
         let mut sheds = Vec::with_capacity(self.shards.len());
         let mut hot_keys = Vec::with_capacity(self.shards.len());
         for st in &self.shards {
-            while let Some(ev) = st.ring.pop() {
+            while let Some(ev) = st.ring.try_pop() {
                 events.push(ev);
             }
-            dropped.push(st.ring.dropped());
+            dropped.push(st.dropped());
             aborts.push(std::array::from_fn(|i| {
                 st.aborts[i].load(Ordering::Relaxed)
             }));
@@ -821,99 +672,76 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn ev(shard: u16, tx: u64) -> TraceEvent {
         TraceEvent::lifecycle(TraceKind::Done, TraceTag { shard, tx, key: tx }, 0, 0)
     }
 
+    // The ring protocol itself is tested in `crate::ring`; these cover what
+    // the trace adds on top: every refusal is a counted drop.
+
     #[test]
     fn ring_is_fifo_and_counts_drops_exactly() {
-        let ring = TraceRing::new(8); // rounds to 8 slots
-        assert_eq!(ring.capacity(), 8);
+        let st = ShardTrace::new(8);
         for tx in 0..8 {
-            assert!(ring.push(ev(0, tx)), "below capacity must record");
+            assert!(st.record(ev(0, tx)), "below capacity must record");
         }
         for tx in 8..13 {
-            assert!(!ring.push(ev(0, tx)), "full ring must drop");
+            assert!(!st.record(ev(0, tx)), "full ring must drop");
         }
-        assert_eq!(ring.dropped(), 5, "every overflow counted exactly once");
-        assert_eq!(ring.len(), 8);
+        assert_eq!(st.dropped(), 5, "every overflow counted exactly once");
         for tx in 0..8 {
-            assert_eq!(ring.pop().map(|e| e.tx), Some(tx), "FIFO order");
+            assert_eq!(st.ring.try_pop().map(|e| e.tx), Some(tx), "FIFO order");
         }
-        assert!(ring.pop().is_none());
+        assert!(st.ring.try_pop().is_none());
         // Freed slots admit again; the drop counter is cumulative.
-        assert!(ring.push(ev(0, 99)));
-        assert_eq!(ring.dropped(), 5);
+        assert!(st.record(ev(0, 99)));
+        assert_eq!(st.dropped(), 5);
+    }
+
+    /// `threads` emitters record `per_thread` events each (`tx` = a
+    /// distinct id); returns how many a drain then finds, after checking
+    /// none of them twice.
+    fn emit_concurrently(st: &ShardTrace, threads: u64, per_thread: u64) -> u64 {
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    for i in 0..per_thread {
+                        st.record(ev(0, t * per_thread + i));
+                    }
+                });
+            }
+        });
+        let mut seen = vec![false; (threads * per_thread) as usize];
+        let mut drained = 0;
+        while let Some(e) = st.ring.try_pop() {
+            assert!(!seen[e.tx as usize], "duplicate event {}", e.tx);
+            seen[e.tx as usize] = true;
+            drained += 1;
+        }
+        drained
     }
 
     #[test]
     fn concurrent_emitters_below_capacity_lose_and_duplicate_nothing() {
-        // Property, exercised across several seeds/shapes: N threads ×
-        // M events into a ring with capacity ≥ N×M — the drain must
-        // contain every (thread, i) identity exactly once, with zero
-        // drops. Sweeping thread count and per-thread volume varies the
-        // interleaving pressure; each shape runs to completion, so this
-        // covers the ticket-CAS races the single-threaded test can't.
-        for (threads, per_thread) in [(2usize, 500u64), (4, 250), (8, 400)] {
-            let total = threads as u64 * per_thread;
-            let ring = Arc::new(TraceRing::new(total as usize));
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let ring = Arc::clone(&ring);
-                    s.spawn(move || {
-                        for i in 0..per_thread {
-                            assert!(ring.push(ev(0, t as u64 * per_thread + i)));
-                        }
-                    });
-                }
-            });
-            assert_eq!(ring.dropped(), 0, "below capacity nothing drops");
-            let mut seen = vec![false; total as usize];
-            let mut n = 0u64;
-            while let Some(e) = ring.pop() {
-                assert!(!seen[e.tx as usize], "duplicate event {}", e.tx);
-                seen[e.tx as usize] = true;
-                n += 1;
-            }
-            assert_eq!(n, total, "no event lost ({threads}×{per_thread})");
+        // N threads × M events into a ring of capacity N×M, nobody
+        // draining: every identity exactly once, zero drops.
+        for (threads, per_thread) in [(2, 500), (4, 250), (8, 400)] {
+            let st = ShardTrace::new((threads * per_thread) as usize);
+            let drained = emit_concurrently(&st, threads, per_thread);
+            assert_eq!(st.dropped(), 0, "below capacity nothing drops");
+            assert_eq!(drained, threads * per_thread, "{threads}×{per_thread}");
         }
     }
 
     #[test]
     fn concurrent_overflow_conserves_events_plus_drops() {
-        // 4 threads push 4× the ring capacity: whatever interleaving
-        // happens, recorded + dropped must equal pushed, and the drain
-        // yields exactly the recorded ones.
-        let cap = 64usize;
-        let ring = Arc::new(TraceRing::new(cap));
-        let threads = 4usize;
-        let per_thread = 64u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let ring = Arc::clone(&ring);
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        ring.push(ev(0, t as u64 * per_thread + i));
-                    }
-                });
-            }
-        });
-        let mut drained = 0u64;
-        let mut seen = vec![false; (threads as u64 * per_thread) as usize];
-        while let Some(e) = ring.pop() {
-            assert!(!seen[e.tx as usize], "duplicate event {}", e.tx);
-            seen[e.tx as usize] = true;
-            drained += 1;
-        }
-        assert_eq!(
-            drained + ring.dropped(),
-            threads as u64 * per_thread,
-            "recorded + dropped must account for every push"
-        );
-        assert!(drained <= cap as u64, "never more events than slots");
-        assert!(ring.dropped() > 0, "4× overload must overflow");
+        // 4 threads push 4× the capacity: whatever the interleaving,
+        // recorded + dropped equals pushed.
+        let st = ShardTrace::new(64);
+        let drained = emit_concurrently(&st, 4, 64);
+        assert_eq!(drained + st.dropped(), 4 * 64);
+        assert_eq!(drained, 64, "nobody drains meanwhile: exactly the capacity");
     }
 
     #[test]

@@ -368,8 +368,7 @@ fn record_envelope<P: GracePolicy>(
     source.record_queue_wait(queue_wait, done);
     ctx.stats.record_queue_wait(queue_wait);
     ctx.stats.record_service(service);
-    ctx.stats
-        .record_latency_streaming(queue_wait.saturating_add(service));
+    ctx.stats.record_latency(queue_wait.saturating_add(service));
     ctx.stats
         .record_interval_commit(done.saturating_duration_since(cfg.run_start).as_nanos() as u64);
     ctx.set_trace_tag(env.gen, env.req.home_key());

@@ -1,42 +1,43 @@
 //! Bounded lock-free per-shard request queues (the admission-control knob)
 //! and the generation-tagged reply cell.
 //!
-//! Each shard owns one [`ShardQueue`]: a hand-rolled bounded ring in the
-//! style of Vyukov's bounded queue (per-slot sequence numbers, CAS on the
-//! producer cursor). Replies travel back through a [`ReplyCell`]: one
-//! packed atomic state word over a two-word slot. Neither takes a lock,
-//! and the side that hands over (`try_push`, `put`) makes no syscall unless
-//! the other side is really parked — which is exactly the concern of "Are
-//! Lock-Free Concurrent Algorithms Practically Wait-Free?": under load the
-//! synchronization substrate itself dominates.
+//! Each shard owns one [`ShardQueue`]: the workspace's bounded lock-free
+//! [`Ring`] (slot protocol, orderings and their argument: `tcp_core::ring`)
+//! plus what makes it a request queue — the owner's spin-then-park wait,
+//! the depth high-water mark and the queue-wait sensor. Replies travel back
+//! through a [`ReplyCell`]: one packed atomic state word over a two-word
+//! slot. Neither takes a lock, and the side that hands over (`try_push`,
+//! `put`) makes no syscall unless the other side is really parked — which
+//! is exactly the concern of "Are Lock-Free Concurrent Algorithms
+//! Practically Wait-Free?": under load the synchronization substrate itself
+//! dominates.
 //!
 //! Both places the request path can block — the ring's owner on an empty
 //! ring, the client on an empty cell — go through the one `Waiter`: re-check
 //! for `SPIN_BUDGET` (20 µs, the measured cost of a park/unpark round
 //! trip) with a `yield_now` before each check, then `thread::park`; a
 //! thread that finds its core shared skips the spin and parks at once.
-//! Every other wait in this file — for a producer mid-publish, for a `put`
-//! mid-store — is the same re-check-and-yield. The one remaining `Mutex`
-//! of the request path sits in the `Waiter`, on the slow path only: the
-//! waiter locks it to register its `Thread` handle just before parking,
-//! and a waker locks it only after it has seen the `parked` flag set, i.e.
-//! when it is about to pay the `unpark` syscall anyway.
+//! Every other wait in this file — for a producer mid-publish, for a
+//! consumer mid-release, for a `put` mid-store — is the same
+//! re-check-and-yield. The one remaining `Mutex` of the request path sits
+//! in the `Waiter`, on the slow path only: the waiter locks it to register
+//! its `Thread` handle just before parking, and a waker locks it only after
+//! it has seen the `parked` flag set, i.e. when it is about to pay the
+//! `unpark` syscall anyway.
 //!
-//! The consumer side is **steal-safe**: the head cursor is CAS-claimed,
-//! so besides the owning shard executor, idle sibling executors may pop
+//! The consumer side is **steal-safe**: the ring is multi-consumer, so
+//! besides the owning shard executor, idle sibling executors may pop
 //! batches with [`try_pop_batch`](ShardQueue::try_pop_batch) (work
-//! stealing). The claim protocol is the classic Vyukov MPMC dequeue — a
-//! consumer only CASes the head after observing the slot published, and
-//! ownership of the payload transfers with the CAS — so an owner pop and
-//! a concurrent steal can race without loss, duplication, or tearing.
-//! Only the *owner* ever parks; stealers are strictly non-blocking.
+//! stealing), and an owner pop and a concurrent steal can race without
+//! loss, duplication, or tearing. Only the *owner* ever parks; stealers are
+//! strictly non-blocking.
 //!
 //! Clients submit with [`try_push`](ShardQueue::try_push), which **sheds on
-//! full** rather than blocking — the backpressure policy of the service
-//! layer. A shed request is counted in `EngineStats::sheds` by the client
-//! and never reaches the STM. Each queue also carries a
-//! [`QueueWaitEstimator`]: executors feed it the queue wait of every
-//! envelope they pop, and SLO-aware adaptive admission (see
+//! full** (depth ≥ capacity, never below it) rather than blocking — the
+//! backpressure policy of the service layer. A shed request is counted in
+//! `EngineStats::sheds` by the client and never reaches the STM. Each queue
+//! also carries a [`QueueWaitEstimator`]: executors feed it the queue wait
+//! of every envelope they pop, and SLO-aware adaptive admission (see
 //! `crate::router`) reads its windowed p99 to decide whether to shed
 //! *before* the ring fills.
 //!
@@ -45,15 +46,14 @@
 //! delivery is *reported* (counted, surfaced in `ServeReport`) instead of
 //! silently dropped or `debug_assert`ed away.
 
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use tcp_core::engine::QueueWaitEstimator;
-use tcp_core::pad::CachePadded;
+use tcp_core::ring::{Front, Refusal, Ring};
 
 use crate::protocol::{Request, Response};
 
@@ -240,45 +240,17 @@ impl Waiter {
     }
 }
 
-/// One ring slot: a sequence number gating ownership plus the payload.
-///
-/// Invariant (Vyukov): `seq == pos` means the slot is free for the producer
-/// that wins ticket `pos`; `seq == pos + 1` means the payload is published
-/// and readable by the consumer at position `pos`; after consumption the
-/// consumer stores `seq = pos + ring_len`, freeing the slot for the next
-/// lap.
-struct Slot {
-    seq: AtomicUsize,
-    env: UnsafeCell<MaybeUninit<Envelope>>,
-}
-
 /// A bounded lock-free queue feeding one shard worker, steal-safe on the
 /// consumer side.
 ///
-/// * **Producers** (any number of client threads) reserve a ticket with a
-///   CAS on `tail`; admission is capped at `capacity` outstanding
-///   envelopes, shedding beyond it.
+/// * **Producers** (any number of client threads): admission is capped at
+///   `capacity` outstanding envelopes, shedding beyond it.
 /// * **Consumers**: the owning shard worker pops (blocking, with
 ///   park/unpark), and idle sibling workers may steal batches
-///   (non-blocking). Every consumer claims positions with a CAS on
-///   `head` *after* observing the slot published, so concurrent pops
-///   partition the envelopes — each is delivered exactly once.
+///   (non-blocking); concurrent pops partition the envelopes — each is
+///   delivered exactly once.
 pub struct ShardQueue {
-    slots: Box<[Slot]>,
-    /// Ring-index mask (`slots.len()` is a power of two ≥ `capacity`).
-    mask: usize,
-    /// Logical bound: `tail − head` never exceeds this (shed beyond it).
-    capacity: usize,
-    /// Producer ticket cursor, with [`CLOSED_BIT`] folded into the same
-    /// word: the ticket CAS and the closed check are one atomic step, so
-    /// no producer can win a ticket after `close()` — closing is a true
-    /// linearization point, not a racy flag read. Written on every push,
-    /// so it has a cache line to itself.
-    tail: CachePadded<AtomicUsize>,
-    /// Consumer position, CAS-claimed by the owner and by stealers.
-    /// Written on every pop, so it too has a line to itself; everything
-    /// below is read-mostly on the request path.
-    head: CachePadded<AtomicUsize>,
+    ring: Ring<Envelope>,
     /// Where the owning consumer waits on an empty ring. Stealers never
     /// wait here.
     consumer: Waiter,
@@ -292,37 +264,10 @@ pub struct ShardQueue {
     estimator: QueueWaitEstimator,
 }
 
-/// High bit of `tail`: set by [`ShardQueue::close`]. Ticket positions use
-/// the remaining 63 bits (exhausting them would take centuries of pushes).
-const CLOSED_BIT: usize = 1 << (usize::BITS - 1);
-/// Mask extracting the ticket position from the `tail` word.
-const TICKET_MASK: usize = CLOSED_BIT - 1;
-
-// SAFETY: the `UnsafeCell<MaybeUninit<Envelope>>` slots are handed between
-// threads under the per-slot `seq` protocol above — a slot's payload is
-// written exactly once by the producer holding its ticket (before the
-// `Release` store that publishes `seq = pos + 1`) and read exactly once by
-// whichever consumer wins the head CAS for that position (claiming only
-// after the `Acquire` load observing the publication). `Envelope` itself
-// is `Send`.
-unsafe impl Send for ShardQueue {}
-unsafe impl Sync for ShardQueue {}
-
 impl ShardQueue {
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity queue would shed everything");
-        let ring = capacity.next_power_of_two();
         Self {
-            slots: (0..ring)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    env: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-            mask: ring - 1,
-            capacity,
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            head: CachePadded::new(AtomicUsize::new(0)),
+            ring: Ring::new(capacity),
             consumer: Waiter::default(),
             depth_max: AtomicU64::new(0),
             estimator: QueueWaitEstimator::default(),
@@ -353,120 +298,36 @@ impl ShardQueue {
     /// Envelopes currently admitted but not yet popped (racy snapshot,
     /// clamped to `0..=capacity`).
     pub fn depth(&self) -> usize {
-        let tail = self.tail.load(Ordering::SeqCst) & TICKET_MASK;
-        let head = self.head.load(Ordering::SeqCst);
-        (tail.wrapping_sub(head) as isize).clamp(0, self.capacity as isize) as usize
+        self.ring.len()
     }
 
-    /// Admit `env` unless the queue is full or closed. Returns the queue
-    /// depth after the push on success (exact when uncontended, a snapshot
-    /// under concurrency — but never above `capacity`); hands the envelope
-    /// back on shed so the caller retains ownership of the request.
+    /// Admit `env` unless the queue is full (depth ≥ capacity) or closed.
+    /// Returns the queue depth after the push on success (exact when
+    /// uncontended, a snapshot under concurrency — but never above
+    /// `capacity`); hands the envelope back on shed so the caller retains
+    /// ownership of the request.
     ///
-    /// Lock-free: a producer finishes in a bounded number of steps unless
-    /// other producers keep winning the ticket CAS (system-wide progress).
-    pub fn try_push(&self, env: Envelope) -> Result<usize, Envelope> {
-        let mut tail_word = self.tail.load(Ordering::SeqCst);
+    /// Lock-free but for one wait: when the ring has lapped onto a slot a
+    /// consumer has claimed and not yet released (it is a few instructions
+    /// from done, unless descheduled — so offer it the core), the push
+    /// re-checks instead of shedding below capacity.
+    pub fn try_push(&self, mut env: Envelope) -> Result<usize, Envelope> {
         loop {
-            // The closed bit lives in the ticket word, so this check and
-            // the CAS below are one atomic admission decision: once close()
-            // sets the bit, no CAS against a clean expected value can win.
-            if tail_word & CLOSED_BIT != 0 {
-                return Err(env);
-            }
-            let tail = tail_word;
-            // Admission check against the logical capacity. `head` only
-            // advances, so a depth that passes here can only have shrunk by
-            // the time the CAS wins: the bound is never exceeded.
-            let head = self.head.load(Ordering::SeqCst);
-            let depth = tail.wrapping_sub(head) as isize;
-            if depth < 0 {
-                // `head` was read after `tail` and has already passed it:
-                // the ticket snapshot is stale, not the ring full.
-                tail_word = self.tail.load(Ordering::SeqCst);
-                continue;
-            }
-            if depth as usize >= self.capacity {
-                return Err(env);
-            }
-            let slot = &self.slots[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = (seq as isize).wrapping_sub(tail as isize);
-            match dif.cmp(&0) {
-                std::cmp::Ordering::Equal => {
-                    match self.tail.compare_exchange_weak(
-                        tail,
-                        tail + 1,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => {
-                            // Ticket won: publish the payload, then the seq.
-                            unsafe { (*slot.env.get()).write(env) };
-                            slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                            // Post-push depth snapshot: the consumer (and
-                            // later producers) may already have moved on,
-                            // so clamp instead of trusting the subtraction.
-                            let head_now = self.head.load(Ordering::SeqCst);
-                            let depth = ((tail + 1).wrapping_sub(head_now) as isize)
-                                .clamp(0, self.capacity as isize)
-                                as usize;
-                            // Test before the RMW: once the mark is up,
-                            // pushes only read this line.
-                            if depth as u64 > self.depth_max.load(Ordering::Relaxed) {
-                                self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
-                            }
-                            self.consumer.wake();
-                            return Ok(depth);
-                        }
-                        Err(t) => tail_word = t,
+            match self.ring.try_push(env) {
+                Ok(depth) => {
+                    // Test before the RMW: once the mark is up, pushes
+                    // only read this line.
+                    if depth as u64 > self.depth_max.load(Ordering::Relaxed) {
+                        self.depth_max.fetch_max(depth as u64, Ordering::Relaxed);
                     }
+                    self.consumer.wake();
+                    return Ok(depth);
                 }
-                // The slot still holds last lap's unconsumed envelope: the
-                // ring is physically full (implies depth ≥ capacity too).
-                std::cmp::Ordering::Less => return Err(env),
-                // Another producer lapped us between the loads; refresh.
-                std::cmp::Ordering::Greater => tail_word = self.tail.load(Ordering::SeqCst),
-            }
-        }
-    }
-
-    /// Claim and take the envelope at `head` if one is published.
-    /// Steal-safe (the Vyukov MPMC dequeue): a consumer only CASes `head`
-    /// forward after observing the slot published for that position, and
-    /// the CAS transfers payload ownership — so any number of concurrent
-    /// consumers partition the envelopes exactly-once.
-    fn try_pop_one(&self) -> Option<Envelope> {
-        let mut head = self.head.load(Ordering::SeqCst);
-        loop {
-            let slot = &self.slots[head & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = (seq as isize).wrapping_sub(head.wrapping_add(1) as isize);
-            match dif.cmp(&0) {
-                // Published: try to claim this position.
-                std::cmp::Ordering::Equal => {
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => {
-                            let env = unsafe { (*slot.env.get()).assume_init_read() };
-                            // Free the slot for the producers' next lap.
-                            slot.seq
-                                .store(head.wrapping_add(self.slots.len()), Ordering::Release);
-                            return Some(env);
-                        }
-                        Err(h) => head = h, // another consumer claimed; retry
-                    }
+                Err(refused) if refused.why == Refusal::Lapped => {
+                    env = refused.value;
+                    std::thread::yield_now();
                 }
-                // Not yet published at this position: the ring is empty
-                // here (or the producer is mid-publish — the blocking
-                // paths spin that out; a non-blocking caller just leaves).
-                std::cmp::Ordering::Less => return None,
-                // A consumer already consumed this lap's slot; reload.
-                std::cmp::Ordering::Greater => head = self.head.load(Ordering::SeqCst),
+                Err(refused) => return Err(refused.value),
             }
         }
     }
@@ -477,24 +338,16 @@ impl ShardQueue {
     /// owner — this is the steal entry point of the work-stealing
     /// executors, and also the owner's fast path when stealing is on.
     pub fn try_pop_batch(&self, max: usize, out: &mut Vec<Envelope>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_pop_one() {
-                Some(env) => {
-                    out.push(env);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
+        let before = out.len();
+        out.extend(std::iter::from_fn(|| self.ring.try_pop()).take(max));
+        out.len() - before
     }
 
     /// Block until at least one envelope is available or the queue is
     /// closed *and* drained; `None` signals the worker to exit.
     pub fn pop(&self) -> Option<Envelope> {
         loop {
-            if let Some(env) = self.try_pop_one() {
+            if let Some(env) = self.ring.try_pop() {
                 return Some(env);
             }
             if !self.block_until_ready() {
@@ -526,17 +379,9 @@ impl ShardQueue {
     /// claimed by some consumer — the collective exit condition of the
     /// work-stealing executors (a stolen batch may be mid-execution on a
     /// sibling, but it is that sibling's responsibility; nothing remains
-    /// *here*). Exact for the same reason `block_until_ready`'s exit is:
-    /// the closed bit shares the ticket word, so no later ticket can win.
+    /// *here*). Exact and final: see [`Front::Finished`].
     pub fn is_finished(&self) -> bool {
-        let tail_word = self.tail.load(Ordering::SeqCst);
-        tail_word & CLOSED_BIT != 0 && self.head.load(Ordering::SeqCst) == tail_word & TICKET_MASK
-    }
-
-    /// True once [`close`](Self::close) was called (admission permanently
-    /// rejects; a backlog may remain to drain).
-    pub fn is_closed(&self) -> bool {
-        self.tail.load(Ordering::SeqCst) & CLOSED_BIT != 0
+        self.ring.front() == Front::Finished
     }
 
     /// Owner-only idle wait with a deadline: spin, then park, until a
@@ -561,51 +406,33 @@ impl ShardQueue {
     /// The owner's wake-up condition: a ticket is won that no consumer has
     /// claimed yet, or the queue is closed.
     fn claimable_or_closed(&self) -> bool {
-        let tail_word = self.tail.load(Ordering::SeqCst);
-        self.head.load(Ordering::SeqCst) != tail_word & TICKET_MASK || tail_word & CLOSED_BIT != 0
+        self.ring.front() != Front::Empty
     }
 
-    /// Wait until the envelope at `head` is published. Returns `false`
-    /// when the queue is closed and fully drained — the worker's exit
-    /// signal (exact, because the closed bit shares the ticket word: once
-    /// set, no further ticket can be won, so `head == tickets` is final).
+    /// Wait until the envelope at the ring's head is published. Returns
+    /// `false` when the queue is closed and fully drained — the worker's
+    /// exit signal.
     fn block_until_ready(&self) -> bool {
         loop {
-            let head = self.head.load(Ordering::SeqCst);
-            let tail_word = self.tail.load(Ordering::SeqCst);
-            if head != tail_word & TICKET_MASK {
-                // A ticket is reserved. If its payload is published the
-                // caller can pop right away; otherwise the producer is
-                // mid-publish (at most a few instructions, unless it got
-                // descheduled — so offer it the core).
-                if self.slots[head & self.mask].seq.load(Ordering::Acquire) == head.wrapping_add(1)
-                {
-                    return true;
+            match self.ring.front() {
+                Front::Ready => return true,
+                // At most a few instructions, unless the producer got
+                // descheduled — so offer it the core.
+                Front::Publishing => std::thread::yield_now(),
+                Front::Finished => return false,
+                Front::Empty => {
+                    self.consumer.wait(None, || self.claimable_or_closed());
                 }
-                std::thread::yield_now();
-                continue;
             }
-            if tail_word & CLOSED_BIT != 0 {
-                return false; // closed and every won ticket consumed
-            }
-            self.consumer.wait(None, || self.claimable_or_closed());
         }
     }
 
     /// Stop admitting requests; the worker drains the backlog and exits.
-    /// Linearizes with admission: the closed bit is set in the same word
-    /// producers CAS their tickets from, so every push either won its
-    /// ticket before this call (and will be drained) or sheds.
+    /// Linearizes with admission (see [`Ring::close`]): every push either
+    /// won its ticket before this call (and will be drained) or sheds.
     pub fn close(&self) {
-        self.tail.fetch_or(CLOSED_BIT, Ordering::SeqCst);
+        self.ring.close();
         self.consumer.wake();
-    }
-}
-
-impl Drop for ShardQueue {
-    fn drop(&mut self) {
-        // Release any envelopes that were admitted but never popped.
-        while self.try_pop_one().is_some() {}
     }
 }
 
@@ -1258,14 +1085,5 @@ mod tests {
         let closed = ShardQueue::new(4);
         closed.close();
         assert!(!closed.park_consumer_timeout(Duration::from_secs(60)));
-    }
-
-    #[test]
-    fn head_and_tail_sit_on_separate_cache_lines() {
-        let q = ShardQueue::new(4);
-        let (tail, head) = (&q.tail as *const _ as usize, &q.head as *const _ as usize);
-        assert_eq!(tail % 64, 0);
-        assert_eq!(head % 64, 0);
-        assert!(tail.abs_diff(head) >= 64);
     }
 }

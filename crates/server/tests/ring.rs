@@ -1,4 +1,6 @@
-//! Concurrency property tests for the lock-free bounded shard ring.
+//! Concurrency property tests for the shard queue: `tcp_core::ring::Ring`
+//! (whose own properties are tested with it) under the queue's shedding,
+//! stealing and park/wake.
 //!
 //! The properties the serving path leans on, each driven with real
 //! producer threads against the consumer side:
@@ -16,7 +18,9 @@
 //!    stealers (`try_pop_batch` from non-owner threads) partitions the
 //!    envelopes exactly-once, each consumer still observing per-producer
 //!    FIFO in its own claim order, and close/drain stays exact with a
-//!    stealer pending.
+//!    stealer pending;
+//! 6. **capacity 1** — `ServeConfig` admits it, so one producer and one
+//!    blocking consumer must hand over in lock step without wedging.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -368,5 +372,29 @@ fn consumer_parks_and_wakes_across_bursts() {
         let got = consumer.join().unwrap();
         assert_eq!(got.len(), 160);
         assert!(got.windows(2).all(|w| w[0].1 < w[1].1), "FIFO across parks");
+    });
+}
+
+#[test]
+fn capacity_one_hands_over_in_lock_step() {
+    const ENVELOPES: u64 = 100_000;
+    let q = &ShardQueue::new(1);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for i in 0..ENVELOPES {
+                let mut env = tagged(0, i);
+                while let Err(shed) = q.try_push(env) {
+                    env = shed;
+                    std::thread::yield_now();
+                }
+            }
+            q.close();
+        });
+        let mut next = 0;
+        while let Some(env) = q.pop() {
+            assert_eq!(tag_of(&env), (0, next), "in order, none skipped");
+            next += 1;
+        }
+        assert_eq!(next, ENVELOPES);
     });
 }

@@ -32,20 +32,16 @@
 //! assert_eq!(sum, 42);
 //! ```
 
-pub mod lockfree;
 pub mod runtime;
 pub mod structures;
 pub mod throughput;
 
 pub mod prelude {
-    pub use crate::lockfree::{MsQueue, TreiberStack};
     pub use crate::runtime::{
         Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, Reciprocal, ShardLayout, SnapshotMiss,
         SnapshotTx, Stm, Tx, TxCtx, WriteEntry, WriteOp, PAIRS_PER_LINE,
     };
     pub use crate::structures::{TMap, TQueue, TStack};
-    pub use crate::throughput::{
-        lockfree_stack_throughput, stack_throughput, txapp_throughput, Throughput,
-    };
+    pub use crate::throughput::{stack_throughput, txapp_throughput, Throughput};
     pub use tcp_core::engine::EngineStats;
 }

@@ -138,47 +138,6 @@ pub fn txapp_throughput<P: GracePolicy + Clone>(
     }
 }
 
-/// Baseline: the lock-free Treiber stack under the same alternating
-/// push/pop workload (no transactions, no policies) — the slow path the
-/// paper's benchmarks fall back to.
-pub fn lockfree_stack_throughput(threads: usize, dur: Duration) -> Throughput {
-    let stack = Arc::new(crate::lockfree::TreiberStack::new());
-    let stop = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let mut ops_total = 0u64;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let stack = Arc::clone(&stack);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        if i.is_multiple_of(2) {
-                            stack.push(i);
-                        } else {
-                            let _ = stack.pop();
-                        }
-                        i += 1;
-                    }
-                    i
-                })
-            })
-            .collect();
-        std::thread::sleep(dur);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            ops_total += h.join().expect("worker panicked");
-        }
-    });
-    Throughput {
-        threads,
-        ops: ops_total,
-        wall_ns: start.elapsed().as_nanos() as u64,
-        aborts: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,20 +149,6 @@ mod tests {
         let r = stack_throughput(RandRa, 2, Duration::from_millis(100), 1);
         assert!(r.ops > 100, "ops {}", r.ops);
         assert!(r.wall_ns >= 100_000_000);
-    }
-
-    #[test]
-    fn lockfree_baseline_outpaces_stm_single_thread() {
-        // No instrumentation, no read/write sets: the lock-free stack must
-        // beat the STM stack at one thread.
-        let lf = lockfree_stack_throughput(1, Duration::from_millis(80));
-        let stm = stack_throughput(RandRa, 1, Duration::from_millis(80), 3);
-        assert!(
-            lf.ops_per_sec() > stm.ops_per_sec(),
-            "lock-free {} vs stm {}",
-            lf.ops_per_sec(),
-            stm.ops_per_sec()
-        );
     }
 
     #[test]

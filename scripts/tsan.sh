@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Best-effort ThreadSanitizer run over the concurrency-heavy test
 # surface: the STM runtime (seqlock reads, lock handoff, publish
-# orderings, MVCC chains) and the trace ring (Vyukov MPMC). The memory
+# orderings, MVCC chains) and the one Vyukov MPMC ring (`tcp_core::ring`,
+# inside the `-p tcp-core --lib` surface below, so the slot protocol the
+# serving path and the trace both run on is covered; the shard queue's
+# park/wake layer over it is `-p tcp-server`, not run here). The memory
 # model work in the SoA heap overhaul replaced blanket SeqCst with
 # documented Acquire/Release/Relaxed orderings; TSan is the cheapest
 # independent check that no edge was dropped.
@@ -31,7 +34,7 @@ export RUSTFLAGS="-Zsanitizer=thread"
 # allocator interceptions and keep reports deterministic.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
-echo "tsan: running STM + trace concurrency tests on ${host}"
+echo "tsan: running STM + ring + trace concurrency tests on ${host}"
 if ! cargo +nightly test -Zbuild-std --target "$host" \
     -p tcp-stm -p tcp-core --lib -- \
     --test-threads 1 2>&1 | tail -40; then

@@ -161,10 +161,9 @@ proptest! {
 }
 
 mod stats_merge_properties {
-    //! The engine-layer tally is a commutative monoid (up to the order of
-    //! the raw latency-sample Vec): merging shards must give the same
-    //! aggregate whatever the grouping or order — including the new
-    //! shed/backpressure counters and the streaming latency histogram.
+    //! The engine-layer tally is a commutative monoid: merging shards must
+    //! give the same aggregate whatever the grouping or order — including
+    //! the shed/backpressure counters and the streaming latency histogram.
 
     use super::*;
     use rand::RngCore;
@@ -215,13 +214,6 @@ mod stats_merge_properties {
         out
     }
 
-    /// Canonicalize the one order-sensitive field (the raw sample Vec) so
-    /// full-struct equality expresses order-independence.
-    fn canon(mut s: EngineStats) -> EngineStats {
-        s.latencies.sort_unstable();
-        s
-    }
-
     proptest! {
         #[test]
         fn merge_is_associative(sa in 0u64..5000, sb in 0u64..5000, sc in 0u64..5000) {
@@ -242,8 +234,8 @@ mod stats_merge_properties {
             let abc = merged(&[&a, &b, &c]);
             let cba = merged(&[&c, &b, &a]);
             let bac = merged(&[&b, &a, &c]);
-            prop_assert_eq!(canon(abc.clone()), canon(cba));
-            prop_assert_eq!(canon(abc.clone()), canon(bac));
+            prop_assert_eq!(&abc, &cba);
+            prop_assert_eq!(&abc, &bac);
             // Spot-check the counters the server leans on.
             prop_assert_eq!(abc.sheds, a.sheds + b.sheds + c.sheds);
             prop_assert_eq!(
@@ -263,7 +255,7 @@ mod stats_merge_properties {
             fwd.global = arb_stats(sa ^ sb ^ sc);
             let mut rev = fwd.clone();
             rev.per_thread.reverse();
-            prop_assert_eq!(canon(fwd.merged()), canon(rev.merged()));
+            prop_assert_eq!(fwd.merged(), rev.merged());
             prop_assert_eq!(fwd.sheds(), rev.sheds());
             prop_assert_eq!(fwd.commits(), rev.commits());
         }
