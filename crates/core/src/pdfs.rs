@@ -19,9 +19,16 @@
 use crate::pdf::GracePdf;
 
 /// `r = (k/(k−1))^{k−1}`, the constant governing every chain-length formula.
+///
+/// A pair conflict (`k = 2`, the only case the paper's hardware prototype
+/// and Figure 2 ever ask for) is `(2/1)^1`: returned as the constant, which
+/// is what `powf` computes for it, bit for bit.
 #[inline]
 pub fn chain_r(k: usize) -> f64 {
     debug_assert!(k >= 2);
+    if k == 2 {
+        return 2.0;
+    }
     let k = k as f64;
     (k / (k - 1.0)).powf(k - 1.0)
 }
@@ -76,17 +83,31 @@ impl GracePdf for RwUnconstrainedPdf {
         self.b / (self.k as f64 - 1.0)
     }
 
+    // At `k = 2` every exponent below is 0 or 1. `powf(x, 1.0)` is `x` and
+    // `powf(x, 0.0)` is `1.0`, exactly, so the pair arms spell out the same
+    // expressions without the call: same operations in the same order, same
+    // rounding (`(1 + u) − 1`, not `u` — the sum drops low bits of `u` and
+    // every sampled grace must keep dropping them).
     fn density(&self, x: f64) -> f64 {
         let km1 = self.k as f64 - 1.0;
+        if self.k == 2 {
+            return km1 / (self.b * (self.r - 1.0));
+        }
         km1 * (1.0 + x / self.b).powf(km1 - 1.0) / (self.b * (self.r - 1.0))
     }
 
     fn cdf(&self, x: f64) -> f64 {
+        if self.k == 2 {
+            return ((1.0 + x / self.b) - 1.0) / (self.r - 1.0);
+        }
         let km1 = self.k as f64 - 1.0;
         (((1.0 + x / self.b).powf(km1)) - 1.0) / (self.r - 1.0)
     }
 
     fn quantile(&self, u: f64) -> f64 {
+        if self.k == 2 {
+            return self.b * ((1.0 + u * (self.r - 1.0)) - 1.0);
+        }
         let km1 = self.k as f64 - 1.0;
         self.b * ((1.0 + u * (self.r - 1.0)).powf(1.0 / km1) - 1.0)
     }
@@ -397,6 +418,27 @@ mod tests {
             for u in [0.0, 0.1, 0.5, 0.9, 1.0] {
                 let x = p.quantile(u);
                 assert!((p.cdf(x) - u).abs() < 1e-9, "k={k} u={u}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_closed_forms_equal_the_general_expressions_bit_for_bit() {
+        // The general arms, with the exponents `k = 2` gives them.
+        let r = (2.0f64 / 1.0).powf(1.0);
+        assert_eq!(chain_r(2).to_bits(), r.to_bits());
+        let mut rng = Xoshiro256StarStar::new(2);
+        for b in [1.0, 100.0, 540.0, 2000.0, 1e9, 0.3] {
+            let p = RwUnconstrainedPdf::new(b, 2);
+            for _ in 0..20_000 {
+                let u = crate::rng::uniform01(&mut rng);
+                let quantile = b * ((1.0 + u * (r - 1.0)).powf(1.0 / 1.0) - 1.0);
+                assert_eq!(p.quantile(u).to_bits(), quantile.to_bits(), "b={b} u={u}");
+                let x = u * b;
+                let cdf = ((1.0 + x / b).powf(1.0) - 1.0) / (r - 1.0);
+                assert_eq!(p.cdf(x).to_bits(), cdf.to_bits(), "b={b} x={x}");
+                let density = 1.0 * (1.0 + x / b).powf(0.0) / (b * (r - 1.0));
+                assert_eq!(p.density(x).to_bits(), density.to_bits(), "b={b} x={x}");
             }
         }
     }

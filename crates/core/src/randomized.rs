@@ -2,9 +2,26 @@
 //! strategy suggested in the paper's "Implications" discussion.
 //!
 //! Randomized policies construct the per-conflict distribution lazily from
-//! `(B, k)` — construction costs a handful of `powf`/`exp` calls, which the
-//! `policy_sampling` criterion bench shows is negligible next to a cache
-//! miss, so no caching is attempted.
+//! `(B, k)`; nothing is cached between conflicts. That construction used to
+//! be the whole cost of a decision: at `k = 2` — every conflict the HTM
+//! simulator's default (chain-blind) mode, Figure 2 and the STM ever ask
+//! about — [`RandRw`] paid two `powf` calls per sample, `(2/1)^1` for the
+//! chain constant and `(1 + u)^(1/1)` in the quantile, and the repo
+//! benchmark's `core.grace_decide_ns` probe read 64 ns [57–75] (86 on a
+//! slower day) against ~28 ns for a whole `DetRw` synthetic trial.
+//! [`crate::pdfs`] now evaluates those pair arms in closed form and the
+//! probe reads 10 ns [9–22] (medians and ranges of six alternating runs on
+//! the 2-vCPU benchmark host); a `RandRw` synthetic trial went 91 → 26 ns.
+//!
+//! The closed form is exact, not approximately equal: `powf(x, 1.0)` is `x`
+//! and `powf(x, 0.0)` is `1.0` for every finite `x`, so the pair arm spells
+//! out the *same expression* minus the call — `B·((1 + u·(r − 1)) − 1)`, not
+//! the algebraically equal `B·u`, because `1 + u` rounds away low bits of
+//! `u` and every grace ever sampled has been rounded that way.
+//! `pdfs::tests::pair_closed_forms_equal_the_general_expressions_bit_for_bit`
+//! compares the two forms over 120 000 draws, and
+//! `crates/workloads/tests/golden.rs` pins whole synthetic runs to the last
+//! bit of their cost ratio, captured before the change.
 
 use rand::RngCore;
 

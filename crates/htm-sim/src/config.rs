@@ -89,9 +89,11 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Baseline configuration for `cores` cores and a given policy.
+    ///
+    /// # Panics
+    /// If `cores` is outside `1..=64` (see [`validate`](Self::validate)).
     pub fn new(cores: usize, policy: Arc<dyn GracePolicy>) -> Self {
-        assert!((1..=64).contains(&cores), "1..=64 cores supported");
-        Self {
+        let cfg = Self {
             cores,
             latencies: Latencies::default(),
             abort_cleanup: 40,
@@ -108,7 +110,45 @@ impl SimConfig {
             record_latencies: true,
             mesh: None,
             profiler: None,
+        };
+        cfg.assert_valid();
+        cfg
+    }
+
+    /// Panic with the reason unless [`validate`](Self::validate) passes.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(why) = self.validate() {
+            panic!("invalid SimConfig: {why}");
         }
+    }
+
+    /// Check the fields the simulator's arithmetic depends on. Every field
+    /// is public and may have been changed since [`new`](Self::new), so
+    /// [`Simulator::new`](crate::sim::Simulator::new) runs this again: core
+    /// sets are `u64` masks (a 65th core would alias core 0's bit in a
+    /// release build), the mesh divides by its side, and the arbiter
+    /// rejects a non-positive grace cap. An infinite cap is legal — it
+    /// means uncapped.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=64).contains(&self.cores) {
+            return Err(format!("1..=64 cores supported, got {}", self.cores));
+        }
+        if self.l1_capacity == 0 {
+            return Err("l1_capacity must be at least 1 line".into());
+        }
+        if self.mesh.is_some_and(|m| m.side == 0) {
+            return Err("mesh.side must be at least 1 tile".into());
+        }
+        if self.horizon == 0 {
+            return Err("horizon must be at least 1 cycle".into());
+        }
+        if self.grace_cap_factor.is_nan() || self.grace_cap_factor <= 0.0 {
+            return Err(format!(
+                "grace_cap_factor must be positive, got {}",
+                self.grace_cap_factor
+            ));
+        }
+        Ok(())
     }
 
     /// Latency of a miss given whether a remote cache was involved and
@@ -151,8 +191,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "1..=64 cores supported, got 65")]
     fn too_many_cores_rejected() {
         let _ = SimConfig::new(65, Arc::new(NoDelay::requestor_wins()));
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let ok = || SimConfig::new(4, Arc::new(NoDelay::requestor_wins()));
+        assert_eq!(ok().validate(), Ok(()));
+        let broken = |edit: fn(&mut SimConfig)| {
+            let mut cfg = ok();
+            edit(&mut cfg);
+            cfg.validate().expect_err("must be rejected")
+        };
+        assert!(broken(|c| c.cores = 0).contains("cores"));
+        assert!(broken(|c| c.cores = 65).contains("cores"));
+        assert!(broken(|c| c.l1_capacity = 0).contains("l1_capacity"));
+        assert!(broken(|c| c.mesh = Some(Mesh {
+            side: 0,
+            per_hop: 1
+        }))
+        .contains("mesh.side"));
+        assert!(broken(|c| c.horizon = 0).contains("horizon"));
+        assert!(broken(|c| c.grace_cap_factor = 0.0).contains("grace_cap_factor"));
+        assert!(broken(|c| c.grace_cap_factor = -1.0).contains("grace_cap_factor"));
+        assert!(broken(|c| c.grace_cap_factor = f64::NAN).contains("grace_cap_factor"));
+        let mut uncapped = ok();
+        uncapped.grace_cap_factor = f64::INFINITY;
+        assert_eq!(uncapped.validate(), Ok(()));
     }
 }

@@ -17,7 +17,9 @@
 //! * aborts discard all transactional work and restart after a cleanup
 //!   penalty, with optional §7 multiplicative backoff;
 //! * waiting chains (k > 2) form naturally and are measured; would-be
-//!   cycles are detected and broken by aborting the requestor (§3.2(c));
+//!   cycles are detected and broken by aborting the *youngest* transaction
+//!   in the cycle (greedy timestamp order, §3.2(c)) — always aborting the
+//!   requestor would let two transactions cycle-break each other forever;
 //! * capacity overflow of the transactional cache aborts (Algorithm 1,
 //!   line 4);
 //! * after `max_retries` consecutive aborts a transaction takes an

@@ -26,6 +26,12 @@ pub struct TxnProgram {
 }
 
 impl TxnProgram {
+    /// Replace the body with `ops`, keeping the allocation.
+    pub fn refill(&mut self, ops: impl IntoIterator<Item = Op>) {
+        self.ops.clear();
+        self.ops.extend(ops);
+    }
+
     /// Number of distinct cache lines the program touches.
     pub fn footprint(&self) -> usize {
         let mut lines: Vec<u64> = self
@@ -55,8 +61,11 @@ impl TxnProgram {
 
 /// A per-thread generator of transaction bodies.
 pub trait WorkloadGen: Send + Sync {
-    /// The `seq`-th transaction executed by thread `tid`.
-    fn next_txn(&self, tid: usize, seq: u64, rng: &mut Xoshiro256StarStar) -> TxnProgram;
+    /// Overwrite `txn` with the `seq`-th transaction executed by thread
+    /// `tid`. The caller owns the program and hands the same one back for
+    /// every transaction, so a generator allocates nothing once the body
+    /// has reached its usual length.
+    fn fill_txn(&self, tid: usize, seq: u64, rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram);
 
     fn name(&self) -> &'static str;
 
@@ -109,22 +118,20 @@ impl Default for StackWorkload {
 }
 
 impl WorkloadGen for StackWorkload {
-    fn next_txn(&self, tid: usize, seq: u64, _rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, tid: usize, seq: u64, _rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let top = HOT_BASE; // the single top-of-stack line
         let node = private_line(tid, seq % 64);
         let push = seq.is_multiple_of(2);
-        let mut ops = Vec::with_capacity(6);
-        ops.push(Op::Compute(self.pre_work));
-        if push {
-            ops.push(Op::Write(node)); // prepare the node
-            ops.push(Op::Write(top)); // acquire the top exclusively
-            ops.push(Op::Compute(self.hot_work)); // link in + validate
-        } else {
-            ops.push(Op::Read(node)); // prefetch the node payload
-            ops.push(Op::Write(top)); // acquire the top exclusively
-            ops.push(Op::Compute(self.hot_work)); // unlink + validate
-        }
-        TxnProgram { ops }
+        txn.refill([
+            Op::Compute(self.pre_work),
+            if push {
+                Op::Write(node) // prepare the node
+            } else {
+                Op::Read(node) // prefetch the node payload
+            },
+            Op::Write(top),             // acquire the top exclusively
+            Op::Compute(self.hot_work), // (un)link + validate
+        ]);
     }
 
     fn name(&self) -> &'static str {
@@ -154,23 +161,18 @@ impl Default for QueueWorkload {
 }
 
 impl WorkloadGen for QueueWorkload {
-    fn next_txn(&self, tid: usize, seq: u64, _rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, tid: usize, seq: u64, _rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let head = HOT_BASE;
         let tail = HOT_BASE + 1;
         let node = private_line(tid, seq % 64);
         let enq = seq.is_multiple_of(2);
-        let mut ops = Vec::with_capacity(6);
-        ops.push(Op::Compute(self.pre_work));
-        if enq {
-            ops.push(Op::Write(node));
-            ops.push(Op::Write(tail)); // acquire the tail exclusively
-            ops.push(Op::Compute(self.hot_work));
-        } else {
-            ops.push(Op::Read(node));
-            ops.push(Op::Write(head)); // acquire the head exclusively
-            ops.push(Op::Compute(self.hot_work));
-        }
-        TxnProgram { ops }
+        txn.refill([
+            Op::Compute(self.pre_work),
+            if enq { Op::Write(node) } else { Op::Read(node) },
+            // Acquire the tail (enqueue) or the head (dequeue) exclusively.
+            Op::Write(if enq { tail } else { head }),
+            Op::Compute(self.hot_work),
+        ]);
     }
 
     fn name(&self) -> &'static str {
@@ -205,20 +207,18 @@ impl Default for TxAppWorkload {
 }
 
 impl WorkloadGen for TxAppWorkload {
-    fn next_txn(&self, _tid: usize, _seq: u64, rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, _tid: usize, _seq: u64, rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let a = uniform_u64_below(rng, self.objects);
         let mut b = uniform_u64_below(rng, self.objects - 1);
         if b >= a {
             b += 1; // distinct objects
         }
-        TxnProgram {
-            ops: vec![
-                Op::Write(HOT_BASE + a), // acquire + modify the first object
-                Op::Compute(self.work_between),
-                Op::Write(HOT_BASE + b), // acquire + modify the second object
-                Op::Compute(self.work_after),
-            ],
-        }
+        txn.refill([
+            Op::Write(HOT_BASE + a), // acquire + modify the first object
+            Op::Compute(self.work_between),
+            Op::Write(HOT_BASE + b), // acquire + modify the second object
+            Op::Compute(self.work_after),
+        ]);
     }
 
     fn name(&self) -> &'static str {
@@ -250,7 +250,7 @@ impl Default for BimodalWorkload {
 }
 
 impl WorkloadGen for BimodalWorkload {
-    fn next_txn(&self, _tid: usize, seq: u64, rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, _tid: usize, seq: u64, rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let a = uniform_u64_below(rng, self.objects);
         let mut b = uniform_u64_below(rng, self.objects - 1);
         if b >= a {
@@ -261,14 +261,12 @@ impl WorkloadGen for BimodalWorkload {
         } else {
             self.long_work
         };
-        TxnProgram {
-            ops: vec![
-                Op::Write(HOT_BASE + a), // acquire + modify the first object
-                Op::Compute(work / 2),
-                Op::Write(HOT_BASE + b), // acquire + modify the second object
-                Op::Compute(work / 2),
-            ],
-        }
+        txn.refill([
+            Op::Write(HOT_BASE + a), // acquire + modify the first object
+            Op::Compute(work / 2),
+            Op::Write(HOT_BASE + b), // acquire + modify the second object
+            Op::Compute(work / 2),
+        ]);
     }
 
     fn name(&self) -> &'static str {
@@ -304,7 +302,7 @@ impl SkewedTxAppWorkload {
 }
 
 impl WorkloadGen for SkewedTxAppWorkload {
-    fn next_txn(&self, _tid: usize, _seq: u64, rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, _tid: usize, _seq: u64, rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let a = self.zipf.sample(rng) as u64;
         let mut b = self.zipf.sample(rng) as u64;
         let mut guard = 0;
@@ -315,14 +313,12 @@ impl WorkloadGen for SkewedTxAppWorkload {
         if b == a {
             b = (a + 1) % self.objects;
         }
-        TxnProgram {
-            ops: vec![
-                Op::Write(HOT_BASE + a),
-                Op::Compute(self.work_between),
-                Op::Write(HOT_BASE + b),
-                Op::Compute(self.work_after),
-            ],
-        }
+        txn.refill([
+            Op::Write(HOT_BASE + a),
+            Op::Compute(self.work_between),
+            Op::Write(HOT_BASE + b),
+            Op::Compute(self.work_after),
+        ]);
     }
 
     fn name(&self) -> &'static str {
@@ -363,9 +359,10 @@ impl Default for ListWorkload {
 }
 
 impl WorkloadGen for ListWorkload {
-    fn next_txn(&self, _tid: usize, seq: u64, rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, _tid: usize, seq: u64, rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let start = uniform_u64_below(rng, self.nodes);
-        let mut ops = Vec::with_capacity(2 * self.reads as usize + 1);
+        let ops = &mut txn.ops;
+        ops.clear();
         for i in 0..self.reads {
             ops.push(Op::Read(HOT_BASE + (start + i) % self.nodes));
             ops.push(Op::Compute(self.think));
@@ -374,7 +371,6 @@ impl WorkloadGen for ListWorkload {
             let victim = (start + self.reads - 1) % self.nodes;
             ops.push(Op::Write(HOT_BASE + victim));
         }
-        TxnProgram { ops }
     }
 
     fn name(&self) -> &'static str {
@@ -410,9 +406,9 @@ impl FixedProgramsWorkload {
 }
 
 impl WorkloadGen for FixedProgramsWorkload {
-    fn next_txn(&self, tid: usize, seq: u64, _rng: &mut Xoshiro256StarStar) -> TxnProgram {
+    fn fill_txn(&self, tid: usize, seq: u64, _rng: &mut Xoshiro256StarStar, txn: &mut TxnProgram) {
         let idx = (seq as usize + tid) % self.programs.len();
-        self.programs[idx].clone()
+        txn.refill(self.programs[idx].ops.iter().copied());
     }
 
     fn name(&self) -> &'static str {
@@ -429,12 +425,24 @@ mod tests {
     use super::*;
     use tcp_core::rng::Xoshiro256StarStar;
 
+    /// A fresh program filled by `w`.
+    fn next_txn(
+        w: &dyn WorkloadGen,
+        tid: usize,
+        seq: u64,
+        rng: &mut Xoshiro256StarStar,
+    ) -> TxnProgram {
+        let mut txn = TxnProgram::default();
+        w.fill_txn(tid, seq, rng, &mut txn);
+        txn
+    }
+
     #[test]
     fn stack_alternates_push_pop_on_same_hot_line() {
         let w = StackWorkload::default();
         let mut rng = Xoshiro256StarStar::new(1);
-        let push = w.next_txn(0, 0, &mut rng);
-        let pop = w.next_txn(0, 1, &mut rng);
+        let push = next_txn(&w, 0, 0, &mut rng);
+        let pop = next_txn(&w, 0, 1, &mut rng);
         assert_ne!(push.ops, pop.ops);
         // Both touch the top line (address 0).
         for p in [&push, &pop] {
@@ -446,8 +454,8 @@ mod tests {
     fn private_lines_do_not_collide_across_threads() {
         let w = StackWorkload::default();
         let mut rng = Xoshiro256StarStar::new(2);
-        let t0 = w.next_txn(0, 0, &mut rng);
-        let t1 = w.next_txn(1, 0, &mut rng);
+        let t0 = next_txn(&w, 0, 0, &mut rng);
+        let t1 = next_txn(&w, 1, 0, &mut rng);
         let private = |p: &TxnProgram| {
             p.ops
                 .iter()
@@ -467,7 +475,7 @@ mod tests {
         let w = TxAppWorkload::default();
         let mut rng = Xoshiro256StarStar::new(3);
         for seq in 0..1000 {
-            let p = w.next_txn(0, seq, &mut rng);
+            let p = next_txn(&w, 0, seq, &mut rng);
             assert_eq!(p.footprint(), 2, "exactly two object lines");
             let addrs: Vec<u64> = p
                 .ops
@@ -487,8 +495,8 @@ mod tests {
     fn bimodal_alternates_lengths() {
         let w = BimodalWorkload::default();
         let mut rng = Xoshiro256StarStar::new(4);
-        let short = w.next_txn(0, 0, &mut rng);
-        let long = w.next_txn(0, 1, &mut rng);
+        let short = next_txn(&w, 0, 0, &mut rng);
+        let long = next_txn(&w, 0, 1, &mut rng);
         assert!(long.compute_cycles() > 10 * short.compute_cycles());
     }
 
@@ -499,7 +507,7 @@ mod tests {
         let mut hot_hits = 0usize;
         let mut total = 0usize;
         for seq in 0..2000 {
-            for op in w.next_txn(0, seq, &mut rng).ops {
+            for op in next_txn(&w, 0, seq, &mut rng).ops {
                 if let Op::Write(a) = op {
                     total += 1;
                     if a < 4 {
@@ -513,7 +521,7 @@ mod tests {
         assert!(frac > 0.4, "hot fraction {frac}");
         // Objects within a transaction are distinct.
         for seq in 0..500 {
-            let p = w.next_txn(0, seq, &mut rng);
+            let p = next_txn(&w, 0, seq, &mut rng);
             assert_eq!(p.footprint(), 2);
         }
     }
@@ -525,7 +533,7 @@ mod tests {
         let mut reads = 0usize;
         let mut writes = 0usize;
         for seq in 0..800 {
-            for op in w.next_txn(0, seq, &mut rng).ops {
+            for op in next_txn(&w, 0, seq, &mut rng).ops {
                 match op {
                     Op::Read(_) => reads += 1,
                     Op::Write(_) => writes += 1,
@@ -545,7 +553,7 @@ mod tests {
             think: 1,
         };
         let mut rng = Xoshiro256StarStar::new(7);
-        let p = w.next_txn(0, 0, &mut rng);
+        let p = next_txn(&w, 0, 0, &mut rng);
         let addrs: Vec<u64> = p
             .ops
             .iter()
@@ -564,7 +572,7 @@ mod tests {
     fn mean_body_cycles_reflects_programs() {
         let w = StackWorkload::default();
         let mut rng = Xoshiro256StarStar::new(5);
-        let p = w.next_txn(0, 0, &mut rng);
+        let p = next_txn(&w, 0, 0, &mut rng);
         assert_eq!(p.compute_cycles(), w.mean_body_cycles() as u64);
     }
 }
