@@ -13,35 +13,23 @@
 //! admission` and reports ops/s, shed/steal counters, the per-shard ring
 //! high-water marks (the hot-shard backlog is the headline number on a
 //! single-core host, where stealing cannot add service capacity — only
-//! redistribute backlog), and the queue-wait/sojourn tails.
+//! redistribute backlog), and the queue-wait/sojourn tails. A second
+//! block pairs steal=on with steal=off per theta under fixed admission.
 //!
 //! Flags (beyond `--quick`): `--theta 0.6,0.99,1.2` overrides the skew
 //! sweep, `--slo-us N` sets the admission SLO arm (default 200µs, 0
 //! disables that arm), `--steal on|off|both` restricts the steal arms,
 //! `--policy NAME` picks the grace policy (default `rand-rw`),
 //! `--trace <path>` adds one fully-traced run at the hottest theta
-//! (Perfetto export + `trace_summary` / `timeseries` report sections —
-//! the hot-key heatmap's natural habitat).
-//! Output: TSV + `BENCH_serve_skew.json` (including a `comparisons`
-//! section pairing steal=on vs steal=off per theta under fixed
-//! admission).
+//! (Perfetto export to `path`, trace summary and per-interval table on
+//! stdout — the hot-key heatmap's natural habitat).
 
 use std::sync::Arc;
 
-use tcp_bench::cli::{make_policy, Flags};
-use tcp_bench::perfetto::{timeseries_json, trace_summary_json, write_perfetto};
-use tcp_bench::report::{bench_report, write_report, Json};
+use tcp_bench::cell::{on_off, run_cell, trace_run, Policy};
+use tcp_bench::cli::{make_policy, number, Flags};
 use tcp_bench::table;
-use tcp_core::policy::GracePolicy;
-use tcp_core::trace::TraceConfig;
-use tcp_server::prelude::{run_server, LoadMode, ServeConfig, ServeReport};
-
-struct Cell {
-    theta: f64,
-    steal: bool,
-    slo_us: u64,
-    report: ServeReport,
-}
+use tcp_server::prelude::{LoadMode, ServeConfig, ServeReport};
 
 /// Committed requests per second whose sojourn met `ref_slo_ns` — the
 /// goodput the admission comparison is about: shedding early trades raw
@@ -49,57 +37,6 @@ struct Cell {
 fn goodput_at(r: &ServeReport, ref_slo_ns: u64) -> f64 {
     let m = r.stats.merged();
     r.ops_per_sec() * m.latency_hist.fraction_at_or_below(ref_slo_ns)
-}
-
-fn json_row(cell: &Cell, ref_slo_ns: u64) -> Json {
-    let r = &cell.report;
-    let m = r.stats.merged();
-    let per_shard_depth: Vec<u64> = r
-        .stats
-        .per_thread
-        .iter()
-        .map(|t| t.queue_depth_max)
-        .collect();
-    let hot_depth = hot_depth(r);
-    Json::obj([
-        ("theta", Json::from(cell.theta)),
-        ("steal", Json::from(cell.steal)),
-        ("slo_us", Json::from(cell.slo_us)),
-        (
-            "admission",
-            Json::from(if cell.slo_us > 0 { "slo" } else { "fixed" }),
-        ),
-        ("policy", Json::from(r.policy.clone())),
-        ("commits", Json::from(m.commits)),
-        ("aborts", Json::from(m.aborts)),
-        ("sheds", Json::from(m.sheds)),
-        ("slo_sheds", Json::from(m.slo_sheds)),
-        ("steals", Json::from(m.steals)),
-        ("idle_parks", Json::from(m.idle_parks)),
-        ("reply_faults", Json::from(r.reply_faults)),
-        ("wall_ns", Json::from(r.wall_ns)),
-        ("ops_per_sec", Json::from(r.ops_per_sec())),
-        ("goodput_slo_per_sec", Json::from(goodput_at(r, ref_slo_ns))),
-        ("hot_shard_depth_max", Json::from(hot_depth)),
-        (
-            "per_shard_depth_max",
-            Json::arr(per_shard_depth.into_iter().map(Json::from)),
-        ),
-        (
-            "queue_wait_ns",
-            Json::obj([
-                ("p50", Json::from(m.queue_wait_percentile(50.0))),
-                ("p99", Json::from(m.queue_wait_percentile(99.0))),
-            ]),
-        ),
-        (
-            "sojourn_ns",
-            Json::obj([
-                ("p50", Json::from(m.latency_percentile(50.0))),
-                ("p99", Json::from(m.latency_percentile(99.0))),
-            ]),
-        ),
-    ])
 }
 
 fn hot_depth(r: &ServeReport) -> u64 {
@@ -111,29 +48,54 @@ fn hot_depth(r: &ServeReport) -> u64 {
         .unwrap_or(0)
 }
 
-fn main() {
+/// The sweep's axes from the command line.
+struct Args {
+    thetas: Vec<f64>,
+    slo_us: u64,
+    steal_arms: &'static [bool],
+    policy_name: String,
+    policy: Policy,
+    trace_path: Option<String>,
+}
+
+fn parse_args() -> Result<Args, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&args).unwrap_or_else(|e| {
+    let flags = Flags::parse(&args)?;
+    let policy_name = flags.get("policy").unwrap_or("rand-rw").to_string();
+    Ok(Args {
+        thetas: flags
+            .parsed("theta", |list| {
+                list.split(',').map(|t| number(t.trim())).collect()
+            })?
+            .unwrap_or_else(|| {
+                if table::quick() {
+                    vec![0.6, 0.99, 1.2]
+                } else {
+                    vec![0.0, 0.6, 0.99, 1.2, 1.4]
+                }
+            }),
+        slo_us: flags.num("slo-us", 200)?,
+        steal_arms: flags
+            .parsed("steal", |v| match v {
+                "on" => Ok(&[true][..]),
+                "off" => Ok(&[false][..]),
+                "both" => Ok(&[false, true][..]),
+                other => Err(format!("expected on|off|both, got '{other}'")),
+            })?
+            .unwrap_or(&[false, true]),
+        policy: make_policy(&policy_name, 2_000.0, 100.0).map_err(|e| format!("--policy: {e}"))?,
+        policy_name,
+        trace_path: flags.get("trace").map(str::to_string),
+    })
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| {
         eprintln!("serve_skew: {e}");
         std::process::exit(2);
     });
     let quick = table::quick();
-    let thetas: Vec<f64> = match flags.get("theta") {
-        Some(list) => list
-            .split(',')
-            .map(|t| t.trim().parse().expect("--theta: bad float"))
-            .collect(),
-        None if quick => vec![0.6, 0.99, 1.2],
-        None => vec![0.0, 0.6, 0.99, 1.2, 1.4],
-    };
-    let slo_us: u64 = flags.num("slo-us", 200).unwrap();
-    let steal_arms: &[bool] = match flags.get("steal") {
-        Some("on") => &[true],
-        Some("off") => &[false],
-        _ => &[false, true],
-    };
-    let policy_name = flags.get("policy").unwrap_or("rand-rw");
-    let policy: Arc<dyn GracePolicy> = make_policy(policy_name, 2_000.0, 100.0).unwrap();
+    let slo_us = args.slo_us;
 
     let clients = 4;
     let shards = 4;
@@ -144,6 +106,7 @@ fn main() {
     let total_rate = if quick { 150_000.0 } else { 200_000.0 };
     let horizon_secs = if quick { 0.12 } else { 0.4 };
     let window = 256;
+    let rate_per_client = total_rate / clients as f64;
     let base = ServeConfig {
         shards,
         clients,
@@ -155,14 +118,19 @@ fn main() {
         work_ns: 5_000,
         queue_capacity: 1024,
         seed: 42,
+        ops_per_client: (rate_per_client * horizon_secs).max(500.0) as u64,
+        mode: LoadMode::Open {
+            rate_per_client,
+            window,
+        },
         ..Default::default()
     };
     println!(
         "# serve_skew: open-loop sharded KV at overload, {clients} clients, {shards} shards, \
          keys={}, rate={total_rate}/s, horizon={horizon_secs}s/cell, work={}ns, cap={}, \
-         window={window}, policy={policy_name}, slo arm={slo_us}us \
+         window={window}, policy={}, slo arm={slo_us}us \
          (hot_depth = max per-shard ring high-water mark)",
-        base.keys, base.work_ns, base.queue_capacity
+        base.keys, base.work_ns, base.queue_capacity, args.policy_name
     );
     table::header(&[
         "theta",
@@ -183,35 +151,24 @@ fn main() {
     // columns stay a meaningful attainment fraction rather than
     // "fraction under 0ns".
     let ref_slo_ns = if slo_us > 0 { slo_us } else { 200 } * 1_000;
-    let rate_per_client = total_rate / clients as f64;
-    let ops_per_client = (rate_per_client * horizon_secs).max(500.0) as u64;
     let admission_arms: Vec<u64> = if slo_us > 0 { vec![0, slo_us] } else { vec![0] };
-    let mut cells: Vec<Cell> = Vec::new();
-    for &theta in &thetas {
-        for &steal in steal_arms {
+    let mut comparisons: Vec<Vec<String>> = Vec::new();
+    for &theta in &args.thetas {
+        // This theta's fixed-admission reports, in steal-arm order.
+        let mut fixed: Vec<ServeReport> = Vec::new();
+        for &steal in args.steal_arms {
             for &slo in &admission_arms {
                 let cfg = ServeConfig {
                     zipf_s: theta,
                     steal,
                     slo_us: slo,
-                    ops_per_client,
-                    mode: LoadMode::Open {
-                        rate_per_client,
-                        window,
-                    },
                     ..base.clone()
                 };
-                let r = run_server(&cfg, Arc::clone(&policy));
-                let m = r.stats.merged();
-                assert_eq!(
-                    m.commits + m.sheds,
-                    cfg.total_requests(),
-                    "lost requests at theta={theta} steal={steal} slo={slo}"
-                );
-                assert_eq!(r.reply_faults, 0, "misdelivered replies");
+                let what = format!("theta={theta} steal={steal} slo={slo}");
+                let (r, m) = run_cell(&cfg, Arc::clone(&args.policy), &what);
                 table::row(&[
                     format!("{theta:.2}"),
-                    if steal { "on" } else { "off" }.into(),
+                    on_off(steal).into(),
                     if slo > 0 { "slo" } else { "fixed" }.into(),
                     m.commits.to_string(),
                     m.sheds.to_string(),
@@ -223,13 +180,22 @@ fn main() {
                     m.queue_wait_percentile(99.0).to_string(),
                     m.latency_percentile(99.0).to_string(),
                 ]);
-                cells.push(Cell {
-                    theta,
-                    steal,
-                    slo_us: slo,
-                    report: r,
-                });
+                if slo == 0 {
+                    fixed.push(r);
+                }
             }
+        }
+        if let [off, on] = &fixed[..] {
+            comparisons.push(vec![
+                format!("{theta:.2}"),
+                table::num(off.ops_per_sec()),
+                table::num(on.ops_per_sec()),
+                table::num(goodput_at(off, ref_slo_ns)),
+                table::num(goodput_at(on, ref_slo_ns)),
+                hot_depth(off).to_string(),
+                hot_depth(on).to_string(),
+                (hot_depth(on) < hot_depth(off)).to_string(),
+            ]);
         }
     }
 
@@ -237,103 +203,38 @@ fn main() {
     // the sweep exists to demonstrate. On multicore, steal=on recovers
     // ops/s; on a single core it cannot add service capacity, so the
     // hot-shard backlog (depth high-water) is the number that moves.
-    let comparisons: Vec<Json> = thetas
-        .iter()
-        .filter_map(|&theta| {
-            let find = |steal: bool| {
-                cells
-                    .iter()
-                    .find(|c| c.theta == theta && c.steal == steal && c.slo_us == 0)
-            };
-            let (off, on) = (find(false)?, find(true)?);
-            Some(Json::obj([
-                ("theta", Json::from(theta)),
-                (
-                    "ops_per_sec_steal_off",
-                    Json::from(off.report.ops_per_sec()),
-                ),
-                ("ops_per_sec_steal_on", Json::from(on.report.ops_per_sec())),
-                (
-                    "goodput_steal_off",
-                    Json::from(goodput_at(&off.report, ref_slo_ns)),
-                ),
-                (
-                    "goodput_steal_on",
-                    Json::from(goodput_at(&on.report, ref_slo_ns)),
-                ),
-                ("hot_depth_steal_off", Json::from(hot_depth(&off.report))),
-                ("hot_depth_steal_on", Json::from(hot_depth(&on.report))),
-                (
-                    "steal_relieves_hot_shard",
-                    Json::from(hot_depth(&on.report) < hot_depth(&off.report)),
-                ),
-            ]))
-        })
-        .collect();
-
-    let config = Json::obj([
-        ("mode", Json::from("open")),
-        ("quick", Json::from(quick)),
-        ("clients", Json::from(clients)),
-        ("shards", Json::from(shards)),
-        ("window", Json::from(window as u64)),
-        ("total_rate", Json::from(total_rate)),
-        ("horizon_secs", Json::from(horizon_secs)),
-        ("keys", Json::from(base.keys)),
-        ("read_fraction", Json::from(base.read_fraction)),
-        ("rmw_fraction", Json::from(base.rmw_fraction)),
-        ("rmw_span", Json::from(base.rmw_span)),
-        ("work_ns", Json::from(base.work_ns)),
-        ("queue_capacity", Json::from(base.queue_capacity)),
-        ("batch_max", Json::from(base.batch_max)),
-        ("slo_us", Json::from(slo_us)),
-        ("policy", Json::from(policy_name)),
-        ("thetas", Json::arr(thetas.iter().copied().map(Json::from))),
-        ("seed", Json::from(base.seed)),
-    ]);
-    let mut report = bench_report(
-        "serve_skew",
-        config,
-        cells.iter().map(|c| json_row(c, ref_slo_ns)).collect(),
-    );
-    if let Json::Obj(pairs) = &mut report {
-        pairs.push(("comparisons".into(), Json::Arr(comparisons)));
+    if !comparisons.is_empty() {
+        println!("# steal on vs off, fixed admission (relieves = hot_depth_on < hot_depth_off)");
+        table::header(&[
+            "theta",
+            "ops/s_off",
+            "ops/s_on",
+            "goodput_off",
+            "goodput_on",
+            "hot_depth_off",
+            "hot_depth_on",
+            "relieves",
+        ]);
+        for row in &comparisons {
+            table::row(row);
+        }
     }
-    // `--trace <path>`: one fully-traced run at the hottest theta with
-    // stealing on — Steal instants and the hot-key abort heatmap show
-    // exactly which keys the skew concentrates.
-    if let Some(path) = flags.get("trace") {
-        let theta = thetas.iter().copied().fold(0.0, f64::max);
+
+    // The traced run sits at the hottest theta with stealing on — Steal
+    // instants and the hot-key abort heatmap show exactly which keys the
+    // skew concentrates.
+    if let Some(path) = args.trace_path {
+        let theta = args.thetas.iter().copied().fold(0.0, f64::max);
         let cfg = ServeConfig {
             zipf_s: theta,
             steal: true,
             slo_us: 0,
-            ops_per_client,
-            mode: LoadMode::Open {
-                rate_per_client,
-                window,
-            },
-            trace: TraceConfig {
-                enabled: true,
-                ..TraceConfig::default()
-            },
-            ..base.clone()
+            ..base
         };
-        let r = run_server(&cfg, Arc::clone(&policy));
-        let rep = r.trace.as_ref().expect("tracing was enabled");
-        write_perfetto(path, rep);
-        println!(
-            "# trace: {} events ({} dropped) at theta={theta} -> {path}",
-            rep.events.len(),
-            rep.dropped_total()
-        );
-        if let Json::Obj(pairs) = &mut report {
-            pairs.push(("trace_summary".into(), trace_summary_json(rep)));
-            pairs.push((
-                "timeseries".into(),
-                timeseries_json(rep, cfg.stats_interval_ns.max(1_000_000)),
-            ));
+        let what = format!("theta={theta} steal=on");
+        if let Err(e) = trace_run(&cfg, args.policy, &what, &path) {
+            eprintln!("serve_skew: {e}");
+            std::process::exit(1);
         }
     }
-    write_report("BENCH_serve_skew.json", &report);
 }

@@ -1,5 +1,5 @@
-//! Argument parsing for the `tcp` CLI driver (no external parser crates —
-//! flags are simple `--key value` pairs).
+//! Argument parsing for the `tcp` CLI driver and the serving sweeps (no
+//! external parser crates — flags are simple `--key value` pairs).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -49,18 +49,32 @@ impl Flags {
         self.map.get(key).map(String::as_str)
     }
 
+    /// `--key`'s value through `parse`, `None` when the flag is absent.
+    /// The one place flag values are converted: an error comes back
+    /// prefixed with the flag, so whatever `parse` objects to, the message
+    /// names where the value came from.
+    pub fn parsed<T>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| parse(v).map_err(|e| format!("--{key}: {e}")))
+            .transpose()
+    }
+
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+        Ok(self.parsed(key, number)?.unwrap_or(default))
     }
 
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
+}
+
+/// Parse one number; the error quotes the offending text.
+pub fn number<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("cannot parse '{v}'"))
 }
 
 /// Known policy names, for `tcp list` and error messages.
@@ -156,6 +170,36 @@ mod tests {
         assert!(Flags::parse(&args("stack --threads 8")).is_err());
         let f = Flags::parse(&args("--threads eight")).unwrap();
         assert!(f.num::<usize>("threads", 1).is_err());
+    }
+
+    #[test]
+    fn parse_errors_name_the_flag_and_quote_the_value() {
+        let f = Flags::parse(&args("--theta 0.6,x --slo-us abc --policy nope")).unwrap();
+        let list = |l: &str| {
+            l.split(',')
+                .map(number::<f64>)
+                .collect::<Result<Vec<_>, _>>()
+        };
+        assert_eq!(
+            f.parsed("theta", list).unwrap_err(),
+            "--theta: cannot parse 'x'"
+        );
+        assert_eq!(
+            f.num::<u64>("slo-us", 200).unwrap_err(),
+            "--slo-us: cannot parse 'abc'"
+        );
+        let err = f
+            .parsed("policy", |n| make_policy(n, 2_000.0, 100.0))
+            .err()
+            .expect("unknown policy");
+        assert!(
+            err.starts_with("--policy: unknown policy 'nope'; one of: "),
+            "{err}"
+        );
+        for name in POLICY_NAMES {
+            assert!(err.contains(name), "{err} must list {name}");
+        }
+        assert_eq!(f.parsed("steal", number::<u64>), Ok(None));
     }
 
     #[test]

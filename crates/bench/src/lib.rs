@@ -1,7 +1,12 @@
-//! # tcp-bench — the benchmark harness regenerating every figure
+//! # tcp-bench — the experiment tables of the paper and its extensions
 //!
-//! One binary per panel of the paper's evaluation (see `DESIGN.md` for the
-//! experiment index):
+//! One job: each binary prints one experiment table (TSV, `#` banner
+//! first) to stdout and asserts the table's invariants as it goes. Nothing
+//! is written to disk unless a serving sweep is given `--trace <path>`
+//! (a Perfetto export). Whether a change made the code faster is not
+//! decided here: numbers that are compared over time live in `benchmark/`
+//! (`BENCHMARK.json`), which measures with repeated interleaved rounds and
+//! compares against the measured spread.
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -23,15 +28,15 @@
 //! | `skew_ablation` | Zipf-skewed contention sweep (extension) |
 //! | `backoff_ablation` | §7 abort-cost inflation on/off (extension) |
 //! | `tail_latency` | p50/p99/p99.9 commit latency per policy (extension) |
-//! | `serve` | sharded KV service: policies vs throughput + tail latency (extension) |
-//! | `serve_load` | open-loop offered-load × policy sweep: sojourn = queue-wait + service percentiles (extension) |
+//! | `serve` | sharded KV service, closed loop: policy × shards, throughput + tail latency, group-commit and snapshot-read A/Bs (extension) |
+//! | `serve_load` | sharded KV service, open loop: policy × offered load, sojourn = queue wait + service (extension) |
+//! | `serve_skew` | sharded KV service at overload: skew × work stealing × SLO admission (extension) |
 //! | `tcp` | general-purpose CLI driver (`tcp sim/synthetic/game/list`) |
 //!
-//! Every binary prints a TSV table to stdout; pass `--quick` to shrink the
-//! trial counts by 10× for smoke-testing. The serving bins additionally
-//! write machine-readable sweeps (`BENCH_serve.json`,
-//! `BENCH_serve_load.json`) through [`report`].
+//! Pass `--quick` to shrink the trial counts by 10× for smoke-testing. The
+//! three serving sweeps share one cell runner, [`cell`].
 
+pub mod cell;
 pub mod cli;
 pub mod perfetto;
 pub mod report;
@@ -161,6 +166,27 @@ mod tests {
         assert_eq!(table::num(0.0), "0");
         assert_eq!(table::num(2.0), "2.0000");
         assert!(table::num(1.5e7).contains('e'));
+    }
+
+    /// The crate-doc table above is the experiment index: it names every
+    /// `src/bin/*.rs` stem exactly once and nothing else.
+    #[test]
+    fn experiment_index_lists_every_bin_once() {
+        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut bins: Vec<String> = std::fs::read_dir(bin_dir)
+            .expect("src/bin is readable")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
+            .collect();
+        bins.sort();
+        let mut indexed: Vec<String> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `"))
+            .map(|l| l.split('`').next().unwrap().to_string())
+            .collect();
+        indexed.sort();
+        assert_eq!(indexed, bins, "crate-doc table vs src/bin");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Chrome/Perfetto trace export plus the JSON report sections the
-//! serving bins derive from one [`TraceReport`].
+//! Chrome/Perfetto trace export plus the summary and per-interval table
+//! the serving bins' `--trace` prints from one [`TraceReport`].
 //!
 //! The exporter emits the Chrome `trace_events` JSON flavor (an object
 //! with a `traceEvents` array), which both `chrome://tracing` and
@@ -20,6 +20,7 @@
 use tcp_core::trace::{IntervalRow, TraceCause, TraceKind, TraceReport, ABORT_CAUSES, SHED_CAUSES};
 
 use crate::report::Json;
+use crate::table;
 
 /// Nanoseconds → the microsecond floats the Chrome format wants.
 fn us(ns: u64) -> f64 {
@@ -152,15 +153,6 @@ pub fn perfetto_json(rep: &TraceReport) -> Json {
     ])
 }
 
-/// Write the Perfetto export to `path`, logging (not panicking) on I/O
-/// failure, mirroring `write_report`.
-pub fn write_perfetto(path: &str, rep: &TraceReport) {
-    match perfetto_json(rep).write_file(path) {
-        Ok(()) => eprintln!("wrote {path} (load in ui.perfetto.dev or chrome://tracing)"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-}
-
 /// Per-cause abort totals as an object keyed by stable cause names.
 fn abort_obj(rep: &TraceReport) -> Json {
     Json::obj((0..ABORT_CAUSES).map(|i| {
@@ -179,7 +171,7 @@ fn shed_obj(rep: &TraceReport) -> Json {
     }))
 }
 
-/// The `trace_summary` report section: event/drop totals, per-cause
+/// The `# trace_summary:` line: event/drop totals, per-cause
 /// abort and shed attribution (equal to the engine counters — the
 /// attribution counters never drop), and the per-shard hot-key tables.
 pub fn trace_summary_json(rep: &TraceReport) -> Json {
@@ -210,8 +202,8 @@ pub fn trace_summary_json(rep: &TraceReport) -> Json {
     ])
 }
 
-/// The `timeseries` report section: per-interval ops/s, aborts/s,
-/// sheds/s, and p99 queue wait, from [`TraceReport::timeseries`].
+/// The per-interval rates: ops/s, aborts/s, sheds/s, and p99 queue wait,
+/// from [`TraceReport::timeseries`].
 pub fn timeseries_json(rep: &TraceReport, interval_ns: u64) -> Json {
     let secs = interval_ns as f64 / 1e9;
     let rows: Vec<Json> = rep
@@ -234,6 +226,21 @@ pub fn timeseries_json(rep: &TraceReport, interval_ns: u64) -> Json {
         ("interval_ns", Json::from(interval_ns)),
         ("rows", Json::Arr(rows)),
     ])
+}
+
+/// Print [`timeseries_json`]'s rows as a TSV block, one row per interval.
+pub fn print_timeseries(rep: &TraceReport, interval_ns: u64) {
+    println!("# timeseries: interval_ns={interval_ns}");
+    table::header(&["t_s", "ops/s", "aborts/s", "sheds/s", "qw99_us"]);
+    let series = timeseries_json(rep, interval_ns);
+    let Some(Json::Arr(rows)) = series.get("rows") else {
+        return;
+    };
+    for row in rows {
+        if let Json::Obj(cells) = row {
+            table::row(&cells.iter().map(|(_, v)| v.render()).collect::<Vec<_>>());
+        }
+    }
 }
 
 #[cfg(test)]

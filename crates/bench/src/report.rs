@@ -1,11 +1,11 @@
-//! Machine-readable benchmark results: a dependency-free JSON writer.
+//! A dependency-free JSON writer.
 //!
-//! The figure bins print TSV for humans; the serving bins additionally
-//! persist their sweep as JSON (`BENCH_serve.json`, `BENCH_serve_load.json`)
-//! so the perf trajectory of the repo can be tracked run-over-run by
-//! tooling. No serde in the vendored dependency set, so this is a minimal
-//! hand-rolled value tree + serializer covering exactly what the reports
-//! need: objects with ordered keys, arrays, strings, integers, and floats.
+//! The bins print TSV for humans; the one file `tcp-bench` ever writes is
+//! the Perfetto export behind `--trace <path>`, and the `# name: {...}`
+//! summary lines of the serving sweeps are rendered from the same value
+//! tree. No serde in the vendored dependency set, so this is a minimal
+//! hand-rolled tree + serializer covering exactly that: objects with
+//! ordered keys, arrays, strings, integers, and floats.
 
 use std::io::Write;
 use std::path::Path;
@@ -85,6 +85,14 @@ impl Json {
         Json::Arr(items.into_iter().map(Into::into).collect())
     }
 
+    /// The value under `key`, when this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Serialize to a compact JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -156,26 +164,6 @@ impl Json {
     }
 }
 
-/// The common envelope the serving bins write: benchmark name, fixed
-/// configuration, and one object per sweep row.
-pub fn bench_report(name: &str, config: Json, rows: Vec<Json>) -> Json {
-    Json::obj([
-        ("bench", Json::from(name)),
-        ("schema_version", Json::UInt(1)),
-        ("config", config),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// Write `report` to `path`, logging (not panicking) on I/O failure — a
-/// read-only checkout must not kill a benchmark run.
-pub fn write_report(path: &str, report: &Json) {
-    match report.write_file(path) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,19 +200,6 @@ mod tests {
     fn u64_counters_do_not_lose_precision() {
         let big = u64::MAX - 1;
         assert_eq!(Json::from(big).render(), big.to_string());
-    }
-
-    #[test]
-    fn bench_report_envelope_shape() {
-        let r = bench_report(
-            "serve",
-            Json::obj([("keys", 1024u64)]),
-            vec![Json::obj([("policy", "DET")])],
-        );
-        assert_eq!(
-            r.render(),
-            r#"{"bench":"serve","schema_version":1,"config":{"keys":1024},"rows":[{"policy":"DET"}]}"#
-        );
     }
 
     #[test]

@@ -1,0 +1,52 @@
+//! A malformed flag is a usage error: the sweep exits 2 before running
+//! anything, with one stderr line that names the flag — never a panic.
+
+use std::process::Command;
+
+fn rejects(bin: &str, args: &[&str], expect: &str) {
+    let out = Command::new(bin).args(args).output().expect("bin runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(stderr.trim_end(), expect, "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a table");
+}
+
+#[test]
+fn serve_skew_rejects_malformed_flags() {
+    let bin = env!("CARGO_BIN_EXE_serve_skew");
+    rejects(
+        bin,
+        &["--theta", "0.6,x"],
+        "serve_skew: --theta: cannot parse 'x'",
+    );
+    rejects(
+        bin,
+        &["--slo-us", "abc"],
+        "serve_skew: --slo-us: cannot parse 'abc'",
+    );
+    rejects(
+        bin,
+        &["--steal", "maybe"],
+        "serve_skew: --steal: expected on|off|both, got 'maybe'",
+    );
+    rejects(
+        bin,
+        &["--policy", "nope"],
+        "serve_skew: --policy: unknown policy 'nope'; one of: no-delay, no-delay-ra, tuned, \
+         det, det-ra, rand-rw, rand-rw-uniform, rand-ra, rand-rw-mean, rand-ra-mean, hybrid",
+    );
+}
+
+#[test]
+fn serve_and_serve_load_reject_a_bad_read_fraction() {
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_serve"), "serve"),
+        (env!("CARGO_BIN_EXE_serve_load"), "serve_load"),
+    ] {
+        rejects(
+            bin,
+            &["--read-fraction", "x"],
+            &format!("{name}: --read-fraction: cannot parse 'x'"),
+        );
+    }
+}
