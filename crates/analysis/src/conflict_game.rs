@@ -3,9 +3,9 @@
 //! estimation of expected cost and competitive ratio, used to verify every
 //! theorem's ratio empirically.
 
-use tcp_core::conflict::{conflict_cost, offline_opt, Conflict};
+use tcp_core::conflict::{offline_opt, Conflict};
 use tcp_core::policy::GracePolicy;
-use tcp_core::rng::Xoshiro256StarStar;
+use tcp_workloads::synthetic::{run_synthetic, RemainingTime, SyntheticConfig};
 
 /// Empirical conflict-game outcome for one adversary choice of `D`.
 #[derive(Clone, Copy, Debug)]
@@ -17,7 +17,8 @@ pub struct GamePoint {
 }
 
 /// Expected cost of `policy` against fixed remaining time `d`, by
-/// Monte-Carlo over the policy's randomness.
+/// Monte-Carlo over the policy's randomness: `trials` runs of the one
+/// single-conflict kernel, [`run_synthetic`], with `D` a point mass.
 pub fn expected_cost_at(
     policy: &dyn GracePolicy,
     c: &Conflict,
@@ -25,13 +26,13 @@ pub fn expected_cost_at(
     trials: usize,
     seed: u64,
 ) -> GamePoint {
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let mut sum = 0.0;
-    for _ in 0..trials {
-        let x = policy.grace(c, &mut rng);
-        sum += conflict_cost(policy.mode(c), c, d, x);
-    }
-    let mean_cost = sum / trials as f64;
+    let cfg = SyntheticConfig {
+        abort_cost: c.abort_cost,
+        chain: c.chain,
+        trials,
+        seed,
+    };
+    let mean_cost = run_synthetic(&cfg, &RemainingTime::Fixed(d), policy).mean_cost();
     let opt = offline_opt(policy.mode(c), c, d);
     GamePoint {
         d,

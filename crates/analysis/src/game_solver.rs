@@ -58,7 +58,7 @@ pub enum Formulation {
     /// adversary are restricted to `[0, B/(k−1)]`, and the adversary's
     /// beyond-support mass is costed against an offline optimum of `B`
     /// (not `(k−1)B`). Theorem 3's ratio is optimal *for this game*; see
-    /// `DESIGN.md` deviation 4 for the discrepancy.
+    /// README, "Deviations from the paper", 4, for the discrepancy.
     PaperRa,
 }
 
@@ -286,7 +286,7 @@ mod tests {
         // The (k−1) factors cancel in cost/OPT under the natural offline
         // optimum, so the RA game value is e/(e−1) regardless of k — i.e.
         // Theorem 3's restricted-support strategy is dominated for k ≥ 3
-        // in the natural model (DESIGN.md deviation 4).
+        // in the natural model (README, "Deviations from the paper", 4).
         let limit = rand_ra_ratio(2);
         for k in [3usize, 5] {
             let c = Conflict::chain(B, k);

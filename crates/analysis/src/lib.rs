@@ -9,8 +9,8 @@
 //! * [`global_model`] — the §6 n-thread model with decoupled conflicts;
 //!   verifies Corollary 1's `(2w+1)/(w+1)` bound on the sum of running
 //!   times under uniform/early/late strike adversaries;
-//! * [`worst_case`] — Figure 2c's worst-case distribution for DET and the
-//!   §5.3 abort-probability constants (≈1.8/B vs ≈2.4/B);
+//! * [`worst_case`] — the §5.3 abort-probability constants (≈1.8/B vs
+//!   ≈2.4/B), analytic and sampled;
 //! * [`progress_exp`] — the Corollary 2 probabilistic progress guarantee
 //!   under multiplicative abort-cost inflation.
 
@@ -31,8 +31,5 @@ pub mod prelude {
         UniformStrike,
     };
     pub use crate::progress_exp::{run_progress, ProgressConfig, ProgressReport};
-    pub use crate::worst_case::{
-        abort_probability_ra, abort_probability_rw, cost_against_det_worst_case, det_rw_worst_d,
-        AbortProbability,
-    };
+    pub use crate::worst_case::{abort_probability_ra, abort_probability_rw, AbortProbability};
 }

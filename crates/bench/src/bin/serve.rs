@@ -161,9 +161,7 @@ fn snapshot_ab(base: &ServeConfig, rounds: u64) {
 }
 
 fn main() {
-    let quick = table::quick();
-    let shard_counts: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
-    let (base, trace_path) = shaped_args(ServeConfig {
+    let (base, flags) = shaped_args(|quick| ServeConfig {
         clients: 8,
         ops_per_client: if quick { 1_500 } else { 15_000 },
         keys: 1024,
@@ -184,6 +182,8 @@ fn main() {
         eprintln!("serve: {e}");
         std::process::exit(2);
     });
+    let quick = flags.flag("quick");
+    let shard_counts: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
     base.validate();
     println!(
         "# serve: sharded KV, {} closed-loop clients x {} ops, \
@@ -237,9 +237,9 @@ fn main() {
     let rounds = if quick { 3 } else { 5 };
     group_commit_ab(&first, rounds);
     snapshot_ab(&first, rounds);
-    if let Some(path) = trace_path {
+    if let Some(path) = flags.get("trace") {
         let what = format!("RRW, {} shards", first.shards);
-        if let Err(e) = trace_run(&first, Arc::new(RandRw), &what, &path) {
+        if let Err(e) = trace_run(&first, Arc::new(RandRw), &what, path) {
             eprintln!("serve: {e}");
             std::process::exit(1);
         }

@@ -29,7 +29,7 @@ const CLIENTS: usize = 4;
 const WINDOW: usize = 64;
 
 fn main() {
-    let (base, trace_path) = shaped_args(ServeConfig {
+    let (base, flags) = shaped_args(|_| ServeConfig {
         shards: 2,
         clients: CLIENTS,
         keys: 1024,
@@ -48,7 +48,7 @@ fn main() {
         std::process::exit(2);
     });
     base.validate();
-    let quick = table::quick();
+    let quick = flags.flag("quick");
     // Offered load points, total requests/second across the fleet. The top
     // point is chosen to exceed a single core's service capacity so the
     // queue-wait tail actually appears; the horizon (ops at each rate) is
@@ -112,10 +112,10 @@ fn main() {
     }
     // The traced run sits at the top offered rate under RRW — where
     // queue-wait spans are deepest and most worth looking at in the viewer.
-    if let Some(path) = trace_path {
+    if let Some(path) = flags.get("trace") {
         let top = offered[offered.len() - 1];
         let what = format!("RRW at {top} req/s");
-        if let Err(e) = trace_run(&at_rate(top), Arc::new(RandRw), &what, &path) {
+        if let Err(e) = trace_run(&at_rate(top), Arc::new(RandRw), &what, path) {
             eprintln!("serve_load: {e}");
             std::process::exit(1);
         }

@@ -50,6 +50,7 @@ fn hot_depth(r: &ServeReport) -> u64 {
 
 /// The sweep's axes from the command line.
 struct Args {
+    quick: bool,
     thetas: Vec<f64>,
     slo_us: u64,
     steal_arms: &'static [bool],
@@ -59,16 +60,17 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&args)?;
+    let flags = Flags::from_env(&["quick", "theta", "slo-us", "steal", "policy", "trace"])?;
+    let quick = flags.flag("quick");
     let policy_name = flags.get("policy").unwrap_or("rand-rw").to_string();
     Ok(Args {
+        quick,
         thetas: flags
             .parsed("theta", |list| {
                 list.split(',').map(|t| number(t.trim())).collect()
             })?
             .unwrap_or_else(|| {
-                if table::quick() {
+                if quick {
                     vec![0.6, 0.99, 1.2]
                 } else {
                     vec![0.0, 0.6, 0.99, 1.2, 1.4]
@@ -94,7 +96,7 @@ fn main() {
         eprintln!("serve_skew: {e}");
         std::process::exit(2);
     });
-    let quick = table::quick();
+    let quick = args.quick;
     let slo_us = args.slo_us;
 
     let clients = 4;

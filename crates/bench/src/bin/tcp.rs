@@ -1,23 +1,16 @@
-//! `tcp` — the command-line driver for the whole workspace.
-//!
-//! ```text
-//! tcp sim       --workload stack --policy rand-rw --threads 8 [--horizon N]
-//!               [--mode rw|ra] [--mesh] [--per-hop N] [--chain-aware]
-//!               [--no-backoff] [--seed N] [--mu F] [--delay F] [--skew F]
-//! tcp synthetic --policy rand-ra --b 2000 --mu 500 [--dist exponential]
-//!               [--trials N] [--k N] [--seed N]
-//! tcp game      --mode rw --k 3 [--iters N] [--paper-ra]
-//! tcp list      # available policies, workloads, distributions
-//! ```
+//! `tcp` — the command-line driver for the whole workspace: one row of
+//! the experiment table (`tcp <name> [--quick]`) or a free-form `sim`,
+//! `synthetic` or `game` run. `tcp help` prints the usage ([`HELP`]) and
+//! the table; `tcp list` names experiments, policies, workloads and
+//! distributions.
 
 use tcp_analysis::game_solver::{solve_conflict_game_with, Formulation};
 use tcp_bench::cli::{make_mode, make_policy, make_workload, Flags, POLICY_NAMES, WORKLOAD_NAMES};
+use tcp_bench::experiments::{self, sim_cell, EXPERIMENTS};
 use tcp_bench::table;
 use tcp_core::conflict::{Conflict, ResolutionMode};
-use tcp_htm_sim::config::SimConfig;
 use tcp_htm_sim::noc::Mesh;
-use tcp_htm_sim::sim::Simulator;
-use tcp_workloads::dist::{Exponential, Geometric, LengthDist, Normal, Poisson, Uniform};
+use tcp_workloads::dist::figure2_distributions;
 use tcp_workloads::synthetic::{run_synthetic, RemainingTime, SyntheticConfig};
 
 fn main() {
@@ -35,23 +28,41 @@ fn main() {
 
 fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
-        return Err("missing subcommand (sim | synthetic | game | list | help)".into());
+        return Err(
+            "missing subcommand (an experiment, sim | synthetic | game | list | help)".into(),
+        );
     };
+    let flags = |known: &[&str]| Flags::parse(rest).and_then(|f| f.only(known));
     match cmd.as_str() {
-        "sim" => cmd_sim(&Flags::parse(rest)?),
-        "synthetic" => cmd_synthetic(&Flags::parse(rest)?),
-        "game" => cmd_game(&Flags::parse(rest)?),
+        "sim" => cmd_sim(&flags(SIM_FLAGS)?),
+        "synthetic" => cmd_synthetic(&flags(&[
+            "policy", "b", "mu", "dist", "trials", "k", "seed",
+        ])?),
+        "game" => cmd_game(&flags(&["mode", "k", "b", "iters", "paper-ra"])?),
         "list" => {
-            println!("policies:  {}", POLICY_NAMES.join(", "));
-            println!("workloads: {}", WORKLOAD_NAMES.join(", "));
-            println!("dists:     geometric, normal, uniform, exponential, poisson");
+            flags(&[])?;
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+            println!("experiments: {}", names.join(", "));
+            println!("policies:    {}", POLICY_NAMES.join(", "));
+            println!("workloads:   {}", WORKLOAD_NAMES.join(", "));
+            println!("dists:       {}", dist_names());
             Ok(())
         }
         "help" | "--help" | "-h" => {
-            println!("{}", HELP);
+            flags(&[])?;
+            println!("{HELP}");
+            for e in EXPERIMENTS {
+                println!("    {:<17} {}", e.name, e.reproduces);
+            }
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'")),
+        name => {
+            let Some(e) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+                return Err(format!("unknown subcommand or experiment '{name}'"));
+            };
+            (e.run)(&flags(experiments::FLAGS)?);
+            Ok(())
+        }
     }
 }
 
@@ -62,7 +73,23 @@ const HELP: &str = "tcp — transactional conflict problem driver
   tcp synthetic --policy rand-ra --b 2000 --mu 500 [--dist exponential]
                 [--trials N] [--k N] [--seed N]
   tcp game      --mode rw --k 3 [--iters N] [--paper-ra]
-  tcp list";
+  tcp list
+  tcp <experiment> [--quick]   (--quick: 10x fewer trials or a shorter horizon)";
+
+/// The Figure 2 length distributions' names, in table order.
+fn dist_names() -> String {
+    let names: Vec<_> = figure2_distributions(1.0)
+        .iter()
+        .map(|d| d.name())
+        .collect();
+    names.join(", ")
+}
+
+#[rustfmt::skip]
+const SIM_FLAGS: &[&str] = &[
+    "workload", "policy", "threads", "horizon", "mode", "mesh", "per-hop", "chain-aware",
+    "no-backoff", "seed", "mu", "delay", "skew",
+];
 
 fn cmd_sim(f: &Flags) -> Result<(), String> {
     let threads: usize = f.num("threads", 8)?;
@@ -72,18 +99,20 @@ fn cmd_sim(f: &Flags) -> Result<(), String> {
     let workload = make_workload(f.get("workload").unwrap_or("stack"), skew)?;
     let delay: f64 = f.num("delay", workload.tuned_delay())?;
     let policy = make_policy(f.get("policy").unwrap_or("rand-rw"), mu, delay)?;
-    let mut cfg = SimConfig::new(threads, policy);
-    cfg.horizon = horizon;
-    cfg.seed = f.num("seed", 0xC0FFEE)?;
-    cfg.mode = make_mode(f.get("mode").unwrap_or("rw"))?;
-    cfg.backoff = !f.flag("no-backoff");
-    cfg.chain_aware = f.flag("chain-aware");
-    if f.flag("mesh") {
-        cfg.mesh = Some(Mesh::for_cores(threads, f.num("per-hop", 2)?));
-    }
-    let mut sim = Simulator::new(cfg, workload);
-    sim.run();
-    let s = &mut sim.stats;
+    let seed = f.num("seed", 0xC0FFEE)?;
+    let mode = make_mode(f.get("mode").unwrap_or("rw"))?;
+    let mesh = if f.flag("mesh") {
+        Some(Mesh::for_cores(threads, f.num("per-hop", 2)?))
+    } else {
+        None
+    };
+    let s = sim_cell(threads, policy, workload, horizon, |cfg| {
+        cfg.seed = seed;
+        cfg.mode = mode;
+        cfg.backoff = !f.flag("no-backoff");
+        cfg.chain_aware = f.flag("chain-aware");
+        cfg.mesh = mesh;
+    });
     table::header(&[
         "commits",
         "aborts",
@@ -93,22 +122,14 @@ fn cmd_sim(f: &Flags) -> Result<(), String> {
         "p50",
         "p99",
     ]);
-    let (commits, aborts, conflicts, saved, ops) = (
-        s.commits(),
-        s.aborts(),
-        s.global.conflicts,
-        s.global.saved_by_delay,
-        s.ops_per_second(1.0),
-    );
-    let (p50, p99) = (s.latency_percentile(50.0), s.latency_percentile(99.0));
     table::row(&[
-        commits.to_string(),
-        aborts.to_string(),
-        conflicts.to_string(),
-        saved.to_string(),
-        table::num(ops),
-        p50.to_string(),
-        p99.to_string(),
+        s.commits().to_string(),
+        s.aborts().to_string(),
+        s.global.conflicts.to_string(),
+        s.global.saved_by_delay.to_string(),
+        table::num(s.ops_per_second(1.0)),
+        s.latency_percentile(50.0).to_string(),
+        s.latency_percentile(99.0).to_string(),
     ]);
     Ok(())
 }
@@ -116,17 +137,17 @@ fn cmd_sim(f: &Flags) -> Result<(), String> {
 fn cmd_synthetic(f: &Flags) -> Result<(), String> {
     let b: f64 = f.num("b", 2000.0)?;
     let mu: f64 = f.num("mu", 500.0)?;
+    if !(1.0..).contains(&mu) {
+        return Err(format!("--mu: a length mean must be >= 1, got {mu}"));
+    }
     let k: usize = f.num("k", 2)?;
     let trials: usize = f.num("trials", 200_000)?;
     let policy = make_policy(f.get("policy").unwrap_or("rand-rw"), mu, mu)?;
-    let dist: Box<dyn LengthDist> = match f.get("dist").unwrap_or("exponential") {
-        "geometric" => Box::new(Geometric::with_mean(mu)),
-        "normal" => Box::new(Normal::with_mean(mu)),
-        "uniform" => Box::new(Uniform::with_mean(mu)),
-        "exponential" => Box::new(Exponential::with_mean(mu)),
-        "poisson" => Box::new(Poisson::with_mean(mu)),
-        other => return Err(format!("unknown dist '{other}'")),
-    };
+    let name = f.get("dist").unwrap_or("exponential");
+    let dist = figure2_distributions(mu)
+        .into_iter()
+        .find(|d| d.name() == name)
+        .ok_or_else(|| format!("unknown dist '{name}'; one of: {}", dist_names()))?;
     let cfg = SyntheticConfig {
         abort_cost: b,
         chain: k,

@@ -59,15 +59,18 @@ fn shape_flags(flags: &Flags, base: ServeConfig) -> Result<ServeConfig, String> 
     Ok(cfg)
 }
 
-/// The command line of `serve` / `serve_load`: `base` under the
-/// workload-shape flags, and the `--trace` path if one was given.
-pub fn shaped_args(base: ServeConfig) -> Result<(ServeConfig, Option<String>), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&args)?;
-    Ok((
-        shape_flags(&flags, base)?,
-        flags.get("trace").map(str::to_string),
-    ))
+/// The command line of `serve` / `serve_load`: `base(quick)` under the
+/// workload-shape flags, beside the flags themselves (`--quick`,
+/// `--trace <path>`). Any other flag is an error.
+pub fn shaped_args(base: impl FnOnce(bool) -> ServeConfig) -> Result<(ServeConfig, Flags), String> {
+    let flags = Flags::from_env(&[
+        "quick",
+        "trace",
+        "group-commit",
+        "read-heavy",
+        "read-fraction",
+    ])?;
+    Ok((shape_flags(&flags, base(flags.flag("quick")))?, flags))
 }
 
 /// Run one sweep cell and assert what every cell must conserve: each

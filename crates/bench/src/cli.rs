@@ -1,5 +1,6 @@
 //! Argument parsing for the `tcp` CLI driver and the serving sweeps (no
-//! external parser crates — flags are simple `--key value` pairs).
+//! external parser crates — flags are simple `--key value` pairs, and each
+//! command names the keys it accepts through [`Flags::only`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -43,6 +44,25 @@ impl Flags {
             i += 1;
         }
         Ok(Self { map })
+    }
+
+    /// `self`, or an error naming the first flag not in `known`: a
+    /// misspelt flag must stop the command, not run it on its defaults.
+    pub fn only(self, known: &[&str]) -> Result<Self, String> {
+        match self.map.keys().find(|k| !known.contains(&k.as_str())) {
+            None => Ok(self),
+            Some(k) if known.is_empty() => Err(format!("unknown flag --{k} (takes no flags)")),
+            Some(k) => Err(format!(
+                "unknown flag --{k}; one of: --{}",
+                known.join(", --")
+            )),
+        }
+    }
+
+    /// This process's arguments, parsed and checked against `known`.
+    pub fn from_env(known: &[&str]) -> Result<Self, String> {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args)?.only(known)
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {

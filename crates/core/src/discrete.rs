@@ -159,6 +159,25 @@ mod tests {
     }
 
     #[test]
+    fn discrete_buy_at_b_ratio_is_2_minus_1_over_b() {
+        // Classic discrete ski rental (§3.3): rent B − 1 days, buy on day
+        // B — a requestor-aborts pair granted the integer grace B − 1.
+        // Seasons shorter than the grace cost what they last; any longer
+        // one costs (B − 1) + B against OPT = min(D, B), so the worst
+        // integer season is D = B and the ratio is exactly 2 − 1/B.
+        for b in [1.0, 2.0, 10.0, 100.0] {
+            let c = Conflict::pair(b);
+            let x = b - 1.0;
+            assert_eq!(ra_cost(&c, x, x), x); // the season ends on the last rental day
+            assert_eq!(ra_cost(&c, b, x), 2.0 * b - 1.0); // D = B: bought on day B
+            let worst = (1..=4 * b as u32)
+                .map(|d| ra_cost(&c, d as f64, x) / ra_opt(&c, d as f64))
+                .fold(0.0, f64::max);
+            assert!((worst - (2.0 - 1.0 / b)).abs() < 1e-12, "B={b}: {worst}");
+        }
+    }
+
+    #[test]
     fn discrete_rw_grace_is_integer_in_support() {
         let p = DiscreteRandRw;
         let c = Conflict::chain(100.0, 3);

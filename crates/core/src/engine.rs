@@ -2,8 +2,9 @@
 //!
 //! All three execution substrates of this workspace — the TL2-style STM
 //! (`tcp-stm`), the discrete-event HTM simulator (`tcp-htm-sim`), and the
-//! ski-rental Monte-Carlo harness (`tcp-skirental`) — face the same three
-//! chores around every conflict:
+//! single-conflict Monte-Carlo kernel (`run_synthetic` in `tcp-workloads`,
+//! which is also ski rental, §4.2) — face the same three chores around
+//! every conflict:
 //!
 //! 1. **consult** the configured [`GracePolicy`] with a well-formed
 //!    [`Conflict`] (abort cost inflated by §7 backoff, chain length

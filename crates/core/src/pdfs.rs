@@ -13,8 +13,8 @@
 //! | [`RaMeanPdf`] | Thm 2/3 constrained | `(k−1)(e^{x/B}−1) / (B·g)` |
 //!
 //! The module [`paper_literal`] reproduces Theorem 6's *printed* constrained
-//! coefficients, which do not form a distribution (see `DESIGN.md`); it
-//! exists so the test-suite can demonstrate the defect.
+//! coefficients, which do not form a distribution (README, "Deviations from
+//! the paper", 1); it exists so the test-suite can demonstrate the defect.
 
 use crate::pdf::GracePdf;
 
@@ -188,7 +188,7 @@ impl GracePdf for RwMeanK2Pdf {
 }
 
 /// Mean-constrained requestor-wins strategy for chains `k ≥ 3`
-/// (Theorem 6, **corrected** — see `DESIGN.md` deviation 1):
+/// (Theorem 6, **corrected** — README, "Deviations from the paper", 1):
 ///
 /// `p(x) = (k−1)·[(1+x/B)^{k−2} − 1] / (B(r−2))` on `[0, B/(k−1)]`,
 ///

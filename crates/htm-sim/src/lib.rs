@@ -5,9 +5,9 @@
 //! validation hardware transactional memory on a private-L1 / shared-L2
 //! directory MSI hierarchy (§8.2). Graphite itself is a ~100 kLoC C++
 //! functional simulator that is not available here; this crate implements
-//! the *substituted* substrate (see `DESIGN.md`): a deterministic,
-//! cycle-granularity, event-driven model of the same machine that preserves
-//! the behaviour the experiments depend on —
+//! the *substituted* substrate (README, "Deviations from the paper", 2): a
+//! deterministic, cycle-granularity, event-driven model of the same machine
+//! that preserves the behaviour the experiments depend on —
 //!
 //! * conflicts are detected when a coherence request hits a transactional
 //!   copy (Algorithm 1 of the paper);

@@ -13,9 +13,10 @@
 //!   the owner self-aborts at its next safe point and releases its locks.
 //!
 //! It exists because no maintained Rust STM crate offers pluggable
-//! contention management (see `DESIGN.md`), and it validates the policies
-//! on real threads rather than in simulation. Transactional stack and queue
-//! structures and a throughput harness mirror the paper's benchmarks.
+//! contention management (README, "Deviations from the paper", 3), and it
+//! validates the policies on real threads rather than in simulation.
+//! Transactional stack and queue structures and a throughput harness
+//! mirror the paper's benchmarks.
 //!
 //! ```
 //! use tcp_stm::prelude::*;

@@ -21,9 +21,16 @@ fn main() {
     }
 
     // --- The deterministic worst case (Figure 2c) ----------------------------
-    let d_worst = det_rw_worst_d(&c);
-    let det_cost = cost_against_det_worst_case(&DetRw, &c, 10, 1);
-    let rnd_cost = cost_against_det_worst_case(&RandRw, &c, 100_000, 2);
+    let cfg = |trials, seed| SyntheticConfig {
+        abort_cost: b,
+        chain: 2,
+        trials,
+        seed,
+    };
+    let d_worst = det_worst_case_remaining(&cfg(1, 0));
+    let worst = RemainingTime::Fixed(d_worst);
+    let det_cost = run_synthetic(&cfg(10, 1), &worst, &DetRw).mean_cost();
+    let rnd_cost = run_synthetic(&cfg(100_000, 2), &worst, &RandRw).mean_cost();
     let opt = rw_opt(&c, d_worst);
     println!("\nagainst DET's worst case (D just above B/(k-1)):");
     println!(

@@ -7,9 +7,8 @@
 //!
 //! | Re-export | Crate | Contents |
 //! |-----------|-------|----------|
-//! | [`core`] | `tcp-core` | the policies (Theorems 1–6), cost model, competitive ratios, backoff |
-//! | [`skirental`] | `tcp-skirental` | the classic ski-rental substrate (§3.3/§4.2) |
-//! | [`workloads`] | `tcp-workloads` | length distributions, §8.1 synthetic testbed, Figure 3 programs |
+//! | [`core`] | `tcp-core` | the policies (Theorems 1–6), cost model, competitive ratios, backoff; requestor aborts *is* ski rental (§4.2), so `DetRa` / `RandRa` / `RandRaMean` / `DiscreteRandRa` are its classic strategies |
+//! //! | [`workloads`] | `tcp-workloads` | length distributions, the single-conflict kernel `run_synthetic` (§8.1 testbed, theorem checks, ski rental), Figure 3 programs |
 //! | [`htm_sim`] | `tcp-htm-sim` | the discrete-event multicore HTM simulator (Graphite substitute) |
 //! | [`stm`] | `tcp-stm` | a TL2-style STM with pluggable grace-period conflict management |
 //! | [`server`] | `tcp-server` | sharded transactional KV service with closed-loop load generation |
@@ -35,7 +34,6 @@ pub use tcp_analysis as analysis;
 pub use tcp_core as core;
 pub use tcp_htm_sim as htm_sim;
 pub use tcp_server as server;
-pub use tcp_skirental as skirental;
 pub use tcp_stm as stm;
 pub use tcp_workloads as workloads;
 
@@ -45,7 +43,6 @@ pub mod prelude {
     pub use tcp_core::prelude::*;
     pub use tcp_htm_sim::prelude::*;
     pub use tcp_server::prelude::*;
-    pub use tcp_skirental::prelude::*;
     pub use tcp_stm::prelude::*;
     pub use tcp_workloads::prelude::*;
 }

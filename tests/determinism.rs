@@ -33,37 +33,6 @@ fn htm_sim_same_seed_identical_stats() {
     );
 }
 
-/// The ski-rental Monte-Carlo harness: same fan-out stream, same trials —
-/// identical cost accumulators (exact f64 equality).
-#[test]
-fn ski_rental_same_seed_identical_stats() {
-    let run = |seed: u64| -> EngineStats {
-        let mut fan = SeedFanout::new(seed);
-        let p = SkiRental::new(100.0);
-        // Exercise both a classic strategy and the engine-layer bridge.
-        let mut stats = simulate(
-            &p,
-            &ContinuousExp,
-            &FixedSeason(60.0),
-            20_000,
-            &mut fan.stream(),
-        );
-        stats.merge(&simulate(
-            &p,
-            &ArbiterRental::new(RandRa),
-            &FixedSeason(60.0),
-            20_000,
-            &mut fan.stream(),
-        ));
-        stats
-    };
-    let a = run(3);
-    assert_eq!(a, run(3));
-    assert_eq!(a.trials, 40_000);
-    assert!(a.aborts > 0 && a.commits > 0, "both outcomes must occur");
-    assert_ne!(a, run(4), "different seeds must draw different seasons");
-}
-
 /// The STM runs real threads, so wall-clock counters are only meaningful
 /// under contention; a single-context seeded workload must nevertheless
 /// reproduce its logical counters exactly. The op mix is driven by the
@@ -470,21 +439,31 @@ fn server_read_modes_same_seed_identical_state() {
     );
 }
 
-/// The synthetic Figure 2 testbed reports through the same EngineStats;
-/// its internal seeding must reproduce the f64 accumulators exactly.
+/// The single-conflict kernel reports through the same EngineStats; its
+/// internal seeding must reproduce the f64 accumulators exactly — for the
+/// Figure 2 procedure and for §4.2's ski rental (Karlin's continuous
+/// strategy, `RandRa`, against a fixed season), each seeing both outcomes.
 #[test]
 fn synthetic_testbed_same_seed_identical_stats() {
-    let run = || {
-        let cfg = SyntheticConfig {
-            abort_cost: 2000.0,
-            chain: 2,
-            trials: 20_000,
-            seed: 5,
+    let dist = Exponential::with_mean(500.0);
+    let inputs: [(f64, RemainingTime, &dyn GracePolicy); 2] = [
+        (2000.0, RemainingTime::FromLengths(&dist), &RandRw),
+        (100.0, RemainingTime::Fixed(60.0), &RandRa),
+    ];
+    for (abort_cost, remaining, policy) in &inputs {
+        let run = |seed: u64| {
+            let cfg = SyntheticConfig {
+                abort_cost: *abort_cost,
+                chain: 2,
+                trials: 20_000,
+                seed,
+            };
+            run_synthetic(&cfg, remaining, *policy)
         };
-        let dist = Exponential::with_mean(500.0);
-        run_synthetic(&cfg, &RemainingTime::FromLengths(&dist), &RandRw)
-    };
-    let a = run();
-    assert_eq!(a, run());
-    assert_eq!(a.trials, 20_000);
+        let a = run(5);
+        assert_eq!(a, run(5));
+        assert_eq!(a.trials, 20_000);
+        assert!(a.aborts > 0 && a.commits > 0, "both outcomes must occur");
+        assert_ne!(a, run(6), "different seeds must draw different graces");
+    }
 }

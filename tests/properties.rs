@@ -133,19 +133,6 @@ proptest! {
         prop_assert!((1.0..2.0).contains(&bound));
     }
 
-    /// The ski-rental mapping is exact for arbitrary parameters (§4.2).
-    #[test]
-    fn ski_rental_mapping_exact(b in 1.0f64..1e5, d in 0.001f64..1e6, x in 0.0f64..1e6) {
-        let c = Conflict::pair(b);
-        let s = from_conflict(&c);
-        let lhs = s.cost_continuous(d, x);
-        let rhs = ra_cost(&c, d, x);
-        // The two differ only on the measure-zero boundary d == x.
-        if (d - x).abs() > 1e-9 {
-            prop_assert!((lhs - rhs).abs() < 1e-9);
-        }
-    }
-
     /// Distribution sampling stays positive and near its nominal mean.
     #[test]
     fn distributions_sane(mu in 2.0f64..2000.0, seed in 0u64..100) {
