@@ -1,12 +1,13 @@
 //! `tcp` — the command-line driver for the whole workspace: one row of
-//! the experiment table (`tcp <name> [--quick]`) or a free-form `sim`,
-//! `synthetic` or `game` run. `tcp help` prints the usage ([`HELP`]) and
-//! the table; `tcp list` names experiments, policies, workloads and
+//! the experiment table (`tcp <name> [--quick]`, the serving rows also
+//! `[--trace <path>]`) or a free-form `sim`, `synthetic` or `game` run.
+//! `tcp help` prints the usage ([`HELP`]) and the table with each row's
+//! flags; `tcp list` names experiments, policies, workloads and
 //! distributions.
 
 use tcp_analysis::game_solver::{solve_conflict_game_with, Formulation};
 use tcp_bench::cli::{make_mode, make_policy, make_workload, Flags, POLICY_NAMES, WORKLOAD_NAMES};
-use tcp_bench::experiments::{self, sim_cell, EXPERIMENTS};
+use tcp_bench::experiments::{sim_cell, EXPERIMENTS};
 use tcp_bench::table;
 use tcp_core::conflict::{Conflict, ResolutionMode};
 use tcp_htm_sim::noc::Mesh;
@@ -52,7 +53,7 @@ fn run(args: &[String]) -> Result<(), String> {
             flags(&[])?;
             println!("{HELP}");
             for e in EXPERIMENTS {
-                println!("    {:<17} {}", e.name, e.reproduces);
+                println!("    {:<17} {:<26} {}", e.name, e.usage(), e.reproduces);
             }
             Ok(())
         }
@@ -60,7 +61,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let Some(e) = EXPERIMENTS.iter().find(|e| e.name == name) else {
                 return Err(format!("unknown subcommand or experiment '{name}'"));
             };
-            (e.run)(&flags(experiments::FLAGS)?);
+            (e.run)(&flags(e.flags)?);
             Ok(())
         }
     }
@@ -74,7 +75,9 @@ const HELP: &str = "tcp — transactional conflict problem driver
                 [--trials N] [--k N] [--seed N]
   tcp game      --mode rw --k 3 [--iters N] [--paper-ra]
   tcp list
-  tcp <experiment> [--quick]   (--quick: 10x fewer trials or a shorter horizon)";
+  tcp <experiment> <its flags, below>
+                (--quick: 10x fewer trials or a shorter horizon;
+                 --trace <path>: also export one traced cell for Perfetto)";
 
 /// The Figure 2 length distributions' names, in table order.
 fn dist_names() -> String {

@@ -1,6 +1,6 @@
-//! Argument parsing for the `tcp` CLI driver and the serving sweeps (no
-//! external parser crates — flags are simple `--key value` pairs, and each
-//! command names the keys it accepts through [`Flags::only`]).
+//! Argument parsing for the `tcp` CLI driver (no external parser crates —
+//! flags are simple `--key value` pairs, and each command names the keys
+//! it accepts through [`Flags::only`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,10 +13,11 @@ use tcp_workloads::programs::{
     TxAppWorkload, WorkloadGen,
 };
 
-/// Parsed `--key value` flags (keys stored without the `--`).
+/// Parsed `--key value` flags (keys stored without the `--`; `None` for a
+/// bare `--key`).
 #[derive(Debug, Default, Clone)]
 pub struct Flags {
-    map: BTreeMap<String, String>,
+    map: BTreeMap<String, Option<String>>,
 }
 
 impl Flags {
@@ -36,9 +37,9 @@ impl Flags {
             let value = match args.get(i + 1) {
                 Some(v) if !v.starts_with("--") => {
                     i += 1;
-                    v.clone()
+                    Some(v.clone())
                 }
-                _ => "true".to_string(),
+                _ => None,
             };
             map.insert(key.to_string(), value);
             i += 1;
@@ -48,25 +49,34 @@ impl Flags {
 
     /// `self`, or an error naming the first flag not in `known`: a
     /// misspelt flag must stop the command, not run it on its defaults.
+    /// A `known` entry `"key <what>"` takes a free-form value, so a bare
+    /// `--key` is an error too instead of the value `"true"`.
     pub fn only(self, known: &[&str]) -> Result<Self, String> {
-        match self.map.keys().find(|k| !known.contains(&k.as_str())) {
+        // "trace <path>" → ("trace", "<path>"); "quick" → ("quick", "").
+        let specs: Vec<(&str, &str)> = known
+            .iter()
+            .map(|s| s.split_once(' ').unwrap_or((s, "")))
+            .collect();
+        let names: Vec<&str> = specs.iter().map(|&(k, _)| k).collect();
+        if let Some(k) = self.map.keys().find(|k| !names.contains(&k.as_str())) {
+            return Err(if names.is_empty() {
+                format!("unknown flag --{k} (takes no flags)")
+            } else {
+                format!("unknown flag --{k}; one of: --{}", names.join(", --"))
+            });
+        }
+        match specs
+            .iter()
+            .find(|&&(k, what)| !what.is_empty() && self.map.get(k) == Some(&None))
+        {
+            Some((k, what)) => Err(format!("--{k}: missing {what}")),
             None => Ok(self),
-            Some(k) if known.is_empty() => Err(format!("unknown flag --{k} (takes no flags)")),
-            Some(k) => Err(format!(
-                "unknown flag --{k}; one of: --{}",
-                known.join(", --")
-            )),
         }
     }
 
-    /// This process's arguments, parsed and checked against `known`.
-    pub fn from_env(known: &[&str]) -> Result<Self, String> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args)?.only(known)
-    }
-
+    /// `--key`'s value; a bare `--key` reads as `"true"`.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
+        self.map.get(key).map(|v| v.as_deref().unwrap_or("true"))
     }
 
     /// `--key`'s value through `parse`, `None` when the flag is absent.
@@ -183,6 +193,13 @@ mod tests {
         assert_eq!(f.num::<u64>("seed", 0).unwrap(), 42);
         assert_eq!(f.num::<u64>("horizon", 777).unwrap(), 777); // default
         assert!(!f.flag("quick"));
+        // A "key <what>" entry of `only` takes a value and refuses a bare
+        // flag, which would otherwise read as "true".
+        let known = ["quick", "trace <path>"];
+        let f = Flags::parse(&args("--quick --trace t.json")).unwrap();
+        assert_eq!(f.only(&known).unwrap().get("trace"), Some("t.json"));
+        let bare = Flags::parse(&args("--trace --quick")).unwrap();
+        assert_eq!(bare.only(&known).unwrap_err(), "--trace: missing <path>");
     }
 
     #[test]

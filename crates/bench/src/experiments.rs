@@ -1,10 +1,12 @@
-//! The experiment table: every paper figure, theorem check and ablation is
-//! one [`Experiment`], run as `tcp <name> [--quick]`. An entry prints one
-//! TSV table to stdout, `#` banner first, and asserts its claim where the
-//! claim is a bound. Single-conflict entries go through the one kernel,
-//! `run_synthetic` (directly or via `tcp_analysis`); simulator entries
-//! draw their policies from `figure3_arms`, and the ablations run each
-//! cell through [`sim_cell`].
+//! The experiment table: every paper figure, theorem check and ablation,
+//! and the three serving sweeps, is one [`Experiment`], run as
+//! `tcp <name> [--quick]` (the serving rows also take `--trace <path>`).
+//! An entry prints TSV to stdout, `#` banner first, and asserts its claim
+//! where the claim is a bound. Single-conflict entries go through the one
+//! kernel, `run_synthetic` (directly or via `tcp_analysis`); simulator
+//! entries draw their policies from `figure3_arms`, and the ablations run
+//! each cell through [`sim_cell`]. The serving rows live in
+//! [`crate::cell`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,6 +33,7 @@ use tcp_workloads::synthetic::{
     det_worst_case_remaining, run_synthetic, RemainingTime, SyntheticConfig,
 };
 
+use crate::cell;
 use crate::cli::{make_workload, Flags};
 use crate::table::{header, num, row, scaled};
 
@@ -38,18 +41,38 @@ use crate::table::{header, num, row, scaled};
 pub struct Experiment {
     /// The `tcp` subcommand that prints it.
     pub name: &'static str,
+    /// The flags it takes, as [`Flags::only`] checks them.
+    pub flags: &'static [&'static str],
     /// What the table reproduces.
     pub reproduces: &'static str,
-    /// Print the table; [`FLAGS`] are all it reads.
+    /// Print the table; [`flags`](Self::flags) are all it reads.
     pub run: fn(&Flags),
 }
 
-/// The flags every entry accepts.
-pub const FLAGS: &[&str] = &["quick"];
+impl Experiment {
+    /// `[--quick] [--trace <path>]`: the flags as `tcp help` shows them.
+    pub fn usage(&self) -> String {
+        let flags: Vec<String> = self.flags.iter().map(|f| format!("[--{f}]")).collect();
+        flags.join(" ")
+    }
+}
 
-const fn entry(name: &'static str, reproduces: &'static str, run: fn(&Flags)) -> Experiment {
+/// The flags of a paper row: `--quick` cuts trials 10x or shortens the
+/// horizon.
+const QUICK: &[&str] = &["quick"];
+/// The flags of a serving row: `--quick`, and `--trace <path>` for a
+/// Perfetto export of one traced cell.
+const QUICK_TRACE: &[&str] = &["quick", "trace <path>"];
+
+const fn entry(
+    name: &'static str,
+    flags: &'static [&'static str],
+    reproduces: &'static str,
+    run: fn(&Flags),
+) -> Experiment {
     Experiment {
         name,
+        flags,
         reproduces,
         run,
     }
@@ -58,24 +81,27 @@ const fn entry(name: &'static str, reproduces: &'static str, run: fn(&Flags)) ->
 /// Every experiment, in the order `tcp list` names them.
 #[rustfmt::skip]
 pub const EXPERIMENTS: &[Experiment] = &[
-    entry("fig2a", "Figure 2a — synthetic costs, B = 2000, µ = 500", fig2a),
-    entry("fig2b", "Figure 2b — synthetic costs, B = 200, µ = 500", fig2b),
-    entry("fig2c", "Figure 2c — costs against DET's worst-case D", fig2c),
-    entry("fig3_stack", "Figure 3 — stack throughput vs threads", |f| figure3_panel(f, "stack")),
-    entry("fig3_queue", "Figure 3 — queue throughput vs threads", |f| figure3_panel(f, "queue")),
-    entry("fig3_txapp", "Figure 3 — txapp throughput vs threads", |f| figure3_panel(f, "txapp")),
-    entry("fig3_bimodal", "Figure 3 — bimodal txapp throughput", |f| figure3_panel(f, "bimodal")),
-    entry("theory_ratios", "Theorems 1–6 — empirical vs analytic ratios", theory_ratios),
-    entry("abort_prob", "§5.3 — density at x = B, analytic vs sampled", abort_prob),
-    entry("corollary1", "§6 Corollary 1 — global competitiveness bound", corollary1),
-    entry("corollary2", "§7 Corollary 2 — progress guarantee", corollary2),
-    entry("optimality", "fictitious-play game values vs analytic optima", optimality),
-    entry("hybrid_ablation", "§1 hybrid strategy across k (extension)", hybrid_ablation),
-    entry("chain_ablation", "chain-aware policies in the simulator (extension)", chain_ablation),
-    entry("skew_ablation", "Zipf-skewed contention sweep (extension)", skew_ablation),
-    entry("backoff_ablation", "§7 abort-cost inflation on/off (extension)", backoff_ablation),
-    entry("tail_latency", "p50/p99/p99.9 commit latency per policy (extension)", tail_latency),
-    entry("stm_throughput", "STM real-thread sweep (extension)", stm_throughput),
+    entry("fig2a", QUICK, "Figure 2a — synthetic costs, B = 2000, µ = 500", fig2a),
+    entry("fig2b", QUICK, "Figure 2b — synthetic costs, B = 200, µ = 500", fig2b),
+    entry("fig2c", QUICK, "Figure 2c — costs against DET's worst-case D", fig2c),
+    entry("fig3_stack", QUICK, "Figure 3 — stack throughput vs threads", |f| figure3_panel(f, "stack")),
+    entry("fig3_queue", QUICK, "Figure 3 — queue throughput vs threads", |f| figure3_panel(f, "queue")),
+    entry("fig3_txapp", QUICK, "Figure 3 — txapp throughput vs threads", |f| figure3_panel(f, "txapp")),
+    entry("fig3_bimodal", QUICK, "Figure 3 — bimodal txapp throughput", |f| figure3_panel(f, "bimodal")),
+    entry("theory_ratios", QUICK, "Theorems 1–6 — empirical vs analytic ratios", theory_ratios),
+    entry("abort_prob", QUICK, "§5.3 — density at x = B, analytic vs sampled", abort_prob),
+    entry("corollary1", QUICK, "§6 Corollary 1 — global competitiveness bound", corollary1),
+    entry("corollary2", QUICK, "§7 Corollary 2 — progress guarantee", corollary2),
+    entry("optimality", QUICK, "fictitious-play game values vs analytic optima", optimality),
+    entry("hybrid_ablation", QUICK, "§1 hybrid strategy across k (extension)", hybrid_ablation),
+    entry("chain_ablation", QUICK, "chain-aware policies in the simulator (extension)", chain_ablation),
+    entry("skew_ablation", QUICK, "Zipf-skewed contention sweep (extension)", skew_ablation),
+    entry("backoff_ablation", QUICK, "§7 abort-cost inflation on/off (extension)", backoff_ablation),
+    entry("tail_latency", QUICK, "p50/p99/p99.9 commit latency per policy (extension)", tail_latency),
+    entry("stm_throughput", QUICK, "STM real-thread sweep (extension)", stm_throughput),
+    entry("serve", QUICK_TRACE, "sharded KV, closed loop: policy × shards, group-commit + snapshot A/Bs (extension)", cell::serve),
+    entry("serve_load", QUICK_TRACE, "sharded KV, open loop: policy × offered load, queue wait vs service (extension)", cell::serve_load),
+    entry("serve_skew", QUICK_TRACE, "sharded KV at overload: skew × work stealing × SLO admission (extension)", cell::serve_skew),
 ];
 
 /// One HTM-simulator run: `threads` cores under `policy` on `workload` for

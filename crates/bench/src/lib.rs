@@ -2,7 +2,7 @@
 //!
 //! One job: print experiment tables (TSV, `#` banner first) to stdout and
 //! assert their invariants as they go. Nothing is written to disk unless a
-//! serving sweep is given `--trace <path>` (a Perfetto export). Whether a
+//! serving row is given `--trace <path>` (a Perfetto export). Whether a
 //! change made the code faster is not decided here: numbers that are
 //! compared over time live in `benchmark/` (`BENCHMARK.json`), which
 //! measures with repeated interleaved rounds and compares against the
@@ -10,14 +10,12 @@
 //!
 //! | Binary | Runs |
 //! |--------|------|
-//! | `tcp` | every paper figure, theorem check and ablation — one row of [`experiments::EXPERIMENTS`] each, `tcp <name> [--quick]` (`tcp list` / `tcp help` name them) — plus the `sim` / `synthetic` / `game` drivers |
-//! | `serve` | sharded KV service, closed loop: policy × shards, throughput + tail latency, group-commit and snapshot-read A/Bs (extension) |
-//! | `serve_load` | sharded KV service, open loop: policy × offered load, sojourn = queue wait + service (extension) |
-//! | `serve_skew` | sharded KV service at overload: skew × work stealing × SLO admission (extension) |
+//! | `tcp` | every paper figure, theorem check and ablation, and the serving sweeps (`serve`, `serve_load`, `serve_skew`) — one row of [`experiments::EXPERIMENTS`] each, `tcp <name> [--quick]` (`tcp list` / `tcp help` name them) — plus the `sim` / `synthetic` / `game` drivers |
 //!
 //! `--quick` shrinks trial counts by 10× (or the horizon) for
-//! smoke-testing; a flag a command does not accept exits 2 naming it. The
-//! three serving sweeps share one cell runner, [`cell`].
+//! smoke-testing; each row names the flags it takes, and a flag it does
+//! not accept exits 2 naming it. The three serving rows share one cell
+//! runner, [`cell`].
 
 pub mod cell;
 pub mod cli;
@@ -71,26 +69,25 @@ mod tests {
         assert!(table::num(1.5e7).contains('e'));
     }
 
-    /// The crate-doc table above names every `src/bin/*.rs` stem exactly
-    /// once and nothing else; the experiment table names each entry once,
-    /// says what it reproduces, and shadows none of `tcp`'s own commands.
+    /// `src/bin` holds `tcp.rs` alone and the crate-doc table above names
+    /// it alone; the experiment table names each entry once, says what it
+    /// reproduces, and shadows none of `tcp`'s own commands.
     #[test]
     fn experiment_index_lists_every_bin_once() {
         let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-        let mut bins: Vec<String> = std::fs::read_dir(bin_dir)
+        let bins: Vec<String> = std::fs::read_dir(bin_dir)
             .expect("src/bin is readable")
             .map(|e| e.expect("dir entry").path())
             .filter(|p| p.extension().is_some_and(|x| x == "rs"))
             .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
             .collect();
-        bins.sort();
-        let mut indexed: Vec<String> = include_str!("lib.rs")
+        let indexed: Vec<String> = include_str!("lib.rs")
             .lines()
             .filter_map(|l| l.strip_prefix("//! | `"))
             .map(|l| l.split('`').next().unwrap().to_string())
             .collect();
-        indexed.sort();
-        assert_eq!(indexed, bins, "crate-doc table vs src/bin");
+        assert_eq!(bins, ["tcp"], "src/bin");
+        assert_eq!(indexed, ["tcp"], "crate-doc table");
 
         let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         names.sort();

@@ -2,82 +2,61 @@
 //! before running anything, with stderr naming the flag — never a panic,
 //! and never a table run on defaults because a flag was misspelt.
 
+use std::path::Path;
 use std::process::Command;
 
-fn rejects(bin: &str, args: &[&str], expect: &str) {
-    let out = Command::new(bin).args(args).output().expect("bin runs");
+/// Run `tcp args` in `cwd` and check it was refused: exit 2, stderr the
+/// driver's error line for `err`, nothing on stdout.
+fn rejects_in(cwd: &Path, args: &str, err: &str) {
+    let args: Vec<&str> = args.split_whitespace().collect();
+    let out = Command::new(env!("CARGO_BIN_EXE_tcp"))
+        .args(&args)
+        .current_dir(cwd)
+        .output()
+        .expect("tcp runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    let expect = format!("error: {err}\nrun `tcp help` for usage");
     assert_eq!(stderr.trim_end(), expect, "{args:?}");
     assert!(out.stdout.is_empty(), "{args:?} printed a table");
 }
 
-#[test]
-fn serve_skew_rejects_malformed_flags() {
-    let bin = env!("CARGO_BIN_EXE_serve_skew");
-    rejects(
-        bin,
-        &["--theta", "0.6,x"],
-        "serve_skew: --theta: cannot parse 'x'",
-    );
-    rejects(
-        bin,
-        &["--slo-us", "abc"],
-        "serve_skew: --slo-us: cannot parse 'abc'",
-    );
-    rejects(
-        bin,
-        &["--steal", "maybe"],
-        "serve_skew: --steal: expected on|off|both, got 'maybe'",
-    );
-    rejects(
-        bin,
-        &["--policy", "nope"],
-        "serve_skew: --policy: unknown policy 'nope'; one of: no-delay, no-delay-ra, tuned, \
-         det, det-ra, rand-rw, rand-rw-uniform, rand-ra, rand-rw-mean, rand-ra-mean, hybrid",
-    );
-}
-
-#[test]
-fn serve_and_serve_load_reject_a_bad_read_fraction() {
-    for (bin, name) in [
-        (env!("CARGO_BIN_EXE_serve"), "serve"),
-        (env!("CARGO_BIN_EXE_serve_load"), "serve_load"),
-    ] {
-        rejects(
-            bin,
-            &["--read-fraction", "x"],
-            &format!("{name}: --read-fraction: cannot parse 'x'"),
-        );
-    }
+fn rejects(args: &str, err: &str) {
+    rejects_in(Path::new("."), args, err)
 }
 
 #[test]
 fn tcp_rejects_flags_a_command_does_not_take() {
-    let tcp = |args: &str, err: &str| {
-        let args: Vec<&str> = args.split_whitespace().collect();
-        let expect = format!("error: {err}\nrun `tcp help` for usage");
-        rejects(env!("CARGO_BIN_EXE_tcp"), &args, &expect)
-    };
-    tcp("fig2a --qiuck", "unknown flag --qiuck; one of: --quick");
-    tcp(
+    rejects("fig2a --qiuck", "unknown flag --qiuck; one of: --quick");
+    rejects(
         "sim --thread 4",
         "unknown flag --thread; one of: --workload, --policy, --threads, --horizon, --mode, \
          --mesh, --per-hop, --chain-aware, --no-backoff, --seed, --mu, --delay, --skew",
     );
-    tcp("list --quick", "unknown flag --quick (takes no flags)");
+    rejects("list --quick", "unknown flag --quick (takes no flags)");
+    rejects("fig2a --trace x", "unknown flag --trace; one of: --quick");
 }
 
 #[test]
 fn serving_sweeps_reject_unknown_flags() {
-    let shape = "--quick, --trace, --group-commit, --read-heavy, --read-fraction";
-    let skew = "--quick, --theta, --slo-us, --steal, --policy, --trace";
-    for (bin, name, known) in [
-        (env!("CARGO_BIN_EXE_serve"), "serve", shape),
-        (env!("CARGO_BIN_EXE_serve_load"), "serve_load", shape),
-        (env!("CARGO_BIN_EXE_serve_skew"), "serve_skew", skew),
-    ] {
-        let expect = format!("{name}: unknown flag --qick; one of: {known}");
-        rejects(bin, &["--qick"], &expect);
+    for row in ["serve", "serve_load", "serve_skew"] {
+        let err = "unknown flag --qick; one of: --quick, --trace";
+        rejects(&format!("{row} --qick"), err);
     }
+}
+
+/// A bare `--trace` would read as the path "true" and leave `./true`
+/// behind; it must be refused before anything runs, creating no file.
+#[test]
+fn serving_rows_refuse_a_bare_trace() {
+    let cwd = std::env::temp_dir().join(format!("tcp_bare_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp cwd");
+    for row in ["serve", "serve_load", "serve_skew"] {
+        for args in ["--quick --trace", "--trace --quick"] {
+            rejects_in(&cwd, &format!("{row} {args}"), "--trace: missing <path>");
+        }
+    }
+    let left: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
+    assert!(left.is_empty(), "a refused run created {left:?}");
+    std::fs::remove_dir(&cwd).expect("temp cwd is empty");
 }

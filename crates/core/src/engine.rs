@@ -405,9 +405,11 @@ impl EngineStats {
 ///
 /// Substrates that run many threads/cores keep one shard per thread and
 /// record run-wide observations (conflicts seen, chain lengths, latency
-/// samples, the horizon) in [`global`](Self::global). The aggregate
-/// accessors sum across shards; [`merged`](Self::merged) flattens
-/// everything into one [`EngineStats`] snapshot.
+/// samples, the horizon) in [`global`](Self::global).
+/// [`merged`](Self::merged) flattens everything into one [`EngineStats`]
+/// snapshot; summed counters are read from it. Only `commits` and
+/// `aborts` keep their own per-shard sums, which `throughput` and the
+/// repo benchmark read without cloning the histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardedStats {
     /// One tally per thread/core.
@@ -439,103 +441,6 @@ impl ShardedStats {
 
     pub fn aborts(&self) -> u64 {
         self.per_thread.iter().map(|c| c.aborts).sum()
-    }
-
-    pub fn wasted_cycles(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.wasted_cycles).sum()
-    }
-
-    pub fn wait_cycles(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.wait_cycles).sum()
-    }
-
-    pub fn total_latency(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.total_latency).sum()
-    }
-
-    pub fn fallbacks(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.fallbacks).sum()
-    }
-
-    /// Requests shed by admission control, across shards and the run-global
-    /// tally.
-    pub fn sheds(&self) -> u64 {
-        self.global.sheds + self.per_thread.iter().map(|c| c.sheds).sum::<u64>()
-    }
-
-    /// Requests shed by SLO-aware adaptive admission, across shards and the
-    /// run-global tally (a subset of [`sheds`](Self::sheds)).
-    pub fn slo_sheds(&self) -> u64 {
-        self.global.slo_sheds + self.per_thread.iter().map(|c| c.slo_sheds).sum::<u64>()
-    }
-
-    /// Requests shed on a full (or closed) ring, across shards and the
-    /// run-global tally (a subset of [`sheds`](Self::sheds)).
-    pub fn capacity_sheds(&self) -> u64 {
-        self.global.capacity_sheds
-            + self
-                .per_thread
-                .iter()
-                .map(|c| c.capacity_sheds)
-                .sum::<u64>()
-    }
-
-    /// Malformed requests rejected before admission, across shards and the
-    /// run-global tally (a subset of [`sheds`](Self::sheds)).
-    pub fn invalid_sheds(&self) -> u64 {
-        self.global.invalid_sheds + self.per_thread.iter().map(|c| c.invalid_sheds).sum::<u64>()
-    }
-
-    /// Envelopes executed by a non-owner executor (work-stealing), summed
-    /// across shards.
-    pub fn steals(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.steals).sum()
-    }
-
-    /// Commit groups published under a single clock bump, summed across
-    /// shards.
-    pub fn group_commits(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.group_commits).sum()
-    }
-
-    /// Same-key writes folded away by group commit, summed across shards.
-    pub fn coalesced_writes(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.coalesced_writes).sum()
-    }
-
-    /// Transactions that fell back from the group path to the per-tx
-    /// commit, summed across shards.
-    pub fn group_fallbacks(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.group_fallbacks).sum()
-    }
-
-    /// Read-only transactions served by the MVCC snapshot path, summed
-    /// across shards.
-    pub fn snapshot_reads(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.snapshot_reads).sum()
-    }
-
-    /// Snapshot-transaction restarts (chain miss → fresh clock sample),
-    /// summed across shards.
-    pub fn snapshot_restarts(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.snapshot_restarts).sum()
-    }
-
-    /// Per-cell chain misses behind those restarts, summed across shards.
-    pub fn chain_misses(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.chain_misses).sum()
-    }
-
-    /// Grace-policy consultations (foreign-lock encounters), summed
-    /// across shards. Zero on the snapshot read path by construction.
-    pub fn arbiter_consults(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.arbiter_consults).sum()
-    }
-
-    /// Aborts charged to read-only requests on the validated read path,
-    /// summed across shards.
-    pub fn read_aborts(&self) -> u64 {
-        self.per_thread.iter().map(|c| c.read_aborts).sum()
     }
 
     pub fn throughput(&self) -> f64 {
@@ -1051,7 +956,6 @@ mod tests {
         let mut sh = ShardedStats::new(2);
         sh.per_thread[0].sheds = 4;
         sh.global.sheds = 1;
-        assert_eq!(sh.sheds(), 5);
         assert_eq!(sh.merged().sheds, 5);
     }
 
@@ -1076,8 +980,6 @@ mod tests {
         sh.per_thread[1].steals = 1;
         sh.per_thread[1].slo_sheds = 2;
         sh.global.slo_sheds = 3;
-        assert_eq!(sh.steals(), 7);
-        assert_eq!(sh.slo_sheds(), 5);
         assert_eq!(sh.merged().steals, 7);
         assert_eq!(sh.merged().slo_sheds, 5);
     }
@@ -1118,12 +1020,17 @@ mod tests {
         sh.per_thread[1].read_aborts = 5;
         sh.per_thread[1].snapshot_restarts = 1;
         sh.per_thread[0].chain_misses = 4;
-        assert_eq!(sh.snapshot_reads(), 8);
-        assert_eq!(sh.arbiter_consults(), 3);
-        assert_eq!(sh.read_aborts(), 5);
-        assert_eq!(sh.snapshot_restarts(), 1);
-        assert_eq!(sh.chain_misses(), 4);
-        assert_eq!(sh.merged().snapshot_reads, 8);
+        let m = sh.merged();
+        assert_eq!(
+            (
+                m.snapshot_reads,
+                m.arbiter_consults,
+                m.read_aborts,
+                m.snapshot_restarts,
+                m.chain_misses
+            ),
+            (8, 3, 5, 1, 4)
+        );
     }
 
     #[test]
@@ -1149,10 +1056,12 @@ mod tests {
         sh.per_thread[0].record_group_commit(3, 2);
         sh.per_thread[1].record_group_commit(5, 0);
         sh.per_thread[1].group_fallbacks = 7;
-        assert_eq!(sh.group_commits(), 2);
-        assert_eq!(sh.coalesced_writes(), 2);
-        assert_eq!(sh.group_fallbacks(), 7);
-        assert_eq!(sh.merged().group_batch_hist.count(), 2);
+        let m = sh.merged();
+        assert_eq!(
+            (m.group_commits, m.coalesced_writes, m.group_fallbacks),
+            (2, 2, 7)
+        );
+        assert_eq!(m.group_batch_hist.count(), 2);
     }
 
     #[test]

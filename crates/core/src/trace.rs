@@ -817,34 +817,38 @@ mod tests {
 
     #[test]
     fn attribution_counters_survive_ring_overflow() {
-        // A 2-slot ring overflows immediately, but the per-cause totals
-        // and the hot-key table are updated outside the ring and must
-        // stay exact.
-        let trace = Trace::new(
-            1,
-            &TraceConfig {
-                enabled: true,
-                ring_capacity: 2,
-            },
-        );
-        let tag = TraceTag {
-            shard: 0,
-            tx: 1,
-            key: 77,
-        };
-        for _ in 0..10 {
-            trace.emit(TraceEvent::abort(tag, AbortKind::Conflict, 0));
+        // A 2-slot ring overflows immediately, and a 1-slot ring (the
+        // smallest there is) after its first event, but the per-cause
+        // totals and the hot-key table are updated outside the ring and
+        // must stay exact.
+        for ring_capacity in [2, 1] {
+            let trace = Trace::new(
+                1,
+                &TraceConfig {
+                    enabled: true,
+                    ring_capacity,
+                },
+            );
+            let tag = TraceTag {
+                shard: 0,
+                tx: 1,
+                key: 77,
+            };
+            for _ in 0..10 {
+                trace.emit(TraceEvent::abort(tag, AbortKind::Conflict, 0));
+            }
+            let dropped = 10 - ring_capacity as u64;
+            assert_eq!(trace.dropped(), dropped, "capacity {ring_capacity}");
+            let rep = trace.finish();
+            assert_eq!(rep.events.len(), ring_capacity);
+            assert_eq!(rep.dropped_total(), dropped);
+            assert_eq!(
+                rep.abort_total(TraceCause::Conflict),
+                10,
+                "attribution never drops (capacity {ring_capacity})"
+            );
+            assert_eq!(rep.hot_keys[0][0], (77, 10));
         }
-        assert_eq!(trace.dropped(), 8, "2 recorded, 8 dropped");
-        let rep = trace.finish();
-        assert_eq!(rep.events.len(), 2);
-        assert_eq!(rep.dropped_total(), 8);
-        assert_eq!(
-            rep.abort_total(TraceCause::Conflict),
-            10,
-            "attribution never drops"
-        );
-        assert_eq!(rep.hot_keys[0][0], (77, 10));
     }
 
     #[test]

@@ -912,7 +912,7 @@ mod tests {
         assert_eq!(a.commits(), b.commits());
         assert_eq!(a.aborts(), b.aborts());
         assert_eq!(a.global.conflicts, b.global.conflicts);
-        assert_eq!(a.wait_cycles(), b.wait_cycles());
+        assert_eq!(a.merged().wait_cycles, b.merged().wait_cycles);
     }
 
     #[test]
@@ -1023,9 +1023,9 @@ mod tests {
             ResolutionMode::RequestorWins,
             200_000,
         );
-        assert_eq!(nd.wait_cycles(), 0, "NO_DELAY never parks a request");
+        assert_eq!(nd.merged().wait_cycles, 0, "NO_DELAY never parks a request");
         let det = run_with(8, Arc::new(DetRw), ResolutionMode::RequestorWins, 200_000);
-        assert!(det.wait_cycles() > 0);
+        assert!(det.merged().wait_cycles > 0);
     }
 
     #[test]
@@ -1055,7 +1055,7 @@ mod tests {
     fn latency_accounting_is_sane() {
         let s = run_with(4, Arc::new(RandRw), ResolutionMode::RequestorWins, 200_000);
         // Average latency per committed txn must be at least the body length.
-        let avg = s.total_latency() as f64 / s.commits() as f64;
+        let avg = s.merged().total_latency as f64 / s.commits() as f64;
         assert!(avg >= StackWorkload::default().mean_body_cycles());
         assert!(avg < 100_000.0, "implausible avg latency {avg}");
     }

@@ -69,9 +69,9 @@ fn pin(name: &str, stats: &ShardedStats, expected: u64) {
         stats.commits(),
         stats.aborts(),
         stats.global.conflicts,
-        stats.wait_cycles(),
-        stats.total_latency(),
-        stats.wasted_cycles(),
+        stats.merged().wait_cycles,
+        stats.merged().total_latency,
+        stats.merged().wasted_cycles,
         stats.global.saved_by_delay,
         stats.global.chain_hist,
     );
@@ -263,6 +263,9 @@ fn fallback_after_two_retries() {
     cfg.horizon = 200_000;
     cfg.seed = 42;
     let stats = run(cfg, stack());
-    assert!(stats.fallbacks() > 0, "max_retries = 2 must fall back");
+    assert!(
+        stats.merged().fallbacks > 0,
+        "max_retries = 2 must fall back"
+    );
     pin("max_retries2/stack16", &stats, 0x89767dd223713613);
 }

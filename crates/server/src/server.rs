@@ -52,13 +52,6 @@ pub struct ServeReport {
     pub clock_bumps: u64,
     /// Display name of the grace policy that served the run.
     pub policy: String,
-    /// Lifecycle-trace events dropped on ring overflow (0 when tracing is
-    /// off or the rings kept up) — surfaced here so drop accounting rides
-    /// in every bench row next to the shed counters.
-    pub trace_dropped: u64,
-    /// Occupied hot-key attribution slots across shards (0 when tracing
-    /// is off or nothing aborted).
-    pub hot_keys: u64,
     /// The drained lifecycle trace, when `cfg.trace.enabled` (events,
     /// per-cause attribution, per-shard hot-key tables).
     pub trace: Option<TraceReport>,
@@ -195,8 +188,6 @@ where
         reply_faults,
         clock_bumps: stm.clock_value(),
         policy: policy.name(),
-        trace_dropped: trace_report.as_ref().map_or(0, |r| r.dropped_total()),
-        hot_keys: trace_report.as_ref().map_or(0, |r| r.hot_key_slots()),
         trace: trace_report,
     }
 }

@@ -99,9 +99,11 @@ fn trace_abort_and_shed_totals_equal_engine_counters() {
 
     // With 64k-slot rings and ~3k requests nothing overflows, so the
     // report surfaces zero drops and a populated hot-key table.
-    assert_eq!(r.trace_dropped, 0);
     assert_eq!(rep.dropped_total(), 0);
-    assert!(r.hot_keys > 0, "aborts must populate the hot-key table");
+    assert!(
+        rep.hot_key_slots() > 0,
+        "aborts must populate the hot-key table"
+    );
 
     // One Done event per served envelope, timestamp-ordered.
     let done = rep
@@ -136,7 +138,6 @@ fn tracing_does_not_change_run_results() {
         plain.stats.merged().commits,
         traced_run.stats.merged().commits
     );
-    assert_eq!(plain.trace_dropped, 0, "untraced runs report zero drops");
     assert!(plain.trace.is_none());
     assert!(traced_run.trace.is_some());
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # "One driver" guard (ROADMAP aim 2): every paper claim runs through one
 # policy family (tcp-core), one single-conflict kernel (run_synthetic) and
-# one experiment table (`tcp <name>`). Fails if crates/skirental exists, if
-# crates/bench/src/bin holds anything but tcp, serve, serve_load and
-# serve_skew, or if `conflict_cost(` appears in non-test code (above a
+# one experiment table (`tcp <name>`, the serving sweeps included). Fails
+# if crates/skirental exists, if crates/bench/src/bin holds anything but
+# tcp.rs, or if `conflict_cost(` appears in non-test code (above a
 # file's first `#[cfg(test)]`, outside tests/, comment lines ignored)
 # beyond core/src/conflict.rs, workloads/src/synthetic.rs and
 # analysis/src/{global_model,game_solver}.rs. Run from anywhere:
@@ -20,8 +20,8 @@ if [[ -e crates/skirental ]]; then
 fi
 
 bins=$(ls crates/bench/src/bin | LC_ALL=C sort | tr '\n' ' ')
-if [[ "$bins" != "serve.rs serve_load.rs serve_skew.rs tcp.rs " ]]; then
-    echo "check_one_driver: crates/bench/src/bin holds more than tcp + the serving sweeps: $bins"
+if [[ "$bins" != "tcp.rs " ]]; then
+    echo "check_one_driver: crates/bench/src/bin holds more than tcp.rs: $bins"
     fail=1
 fi
 
@@ -38,6 +38,6 @@ if [[ -n "$kernels" ]]; then
 fi
 
 if [[ $fail -eq 0 ]]; then
-    echo "check_one_driver: ok (no crates/skirental, four bins, conflict_cost only in the kernel's homes)"
+    echo "check_one_driver: ok (no crates/skirental, one bin, conflict_cost only in the kernel's homes)"
 fi
 exit $fail

@@ -1,5 +1,6 @@
 //! Failure-injection tests: hostile policies and degenerate workloads must
-//! never hang, crash, or corrupt the simulator's coherence state.
+//! never hang, crash, or corrupt the simulator's coherence state, the STM
+//! heap or the serving stack's accounting.
 
 use std::sync::Arc;
 
@@ -130,6 +131,55 @@ fn stm_survives_malicious_policy() {
         }
     });
     assert_eq!(stm.read_direct(0), 8_000);
+}
+
+#[test]
+fn server_survives_malicious_grace() {
+    // The whole serving stack under each pathological grace: 8 keys under
+    // a hot Zipf head with cross-shard RMWs and in-transaction work, so
+    // executors that truly overlap meet each other's commit locks and the
+    // arbiter sees the bad value. (How often they overlap depends on the
+    // host; the arbiter's clamping itself is pinned in `tcp_core::engine`.)
+    let cfg = ServeConfig {
+        shards: 4,
+        clients: 8,
+        ops_per_client: 500,
+        keys: 8,
+        zipf_s: 1.2,
+        read_fraction: 0.3,
+        rmw_fraction: 0.5,
+        rmw_span: 3,
+        think_ns: 0,
+        work_ns: 3_000,
+        seed: 13,
+        ..Default::default()
+    };
+    for grace in [f64::NAN, f64::INFINITY, -1e9, 1e300] {
+        // Run on a helper thread so a hang fails the test instead of
+        // stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run_cfg = cfg.clone();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(run_server(&run_cfg, MaliciousPolicy(grace)));
+        });
+        let r = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            !matches!(r, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "grace {grace}: the run hung"
+        );
+        worker
+            .join()
+            .unwrap_or_else(|_| panic!("grace {grace}: the run panicked"));
+        let r = r.expect("a run that neither hung nor panicked sent its report");
+        let m = r.stats.merged();
+        assert_eq!(
+            m.commits + m.sheds,
+            cfg.total_requests(),
+            "grace {grace}: every request commits or sheds exactly once"
+        );
+        assert_eq!(r.state_sum, r.increments_applied, "grace {grace}: heap");
+        assert_eq!(r.reply_faults, 0, "grace {grace}: reply faults");
+    }
 }
 
 #[test]

@@ -243,7 +243,6 @@ mod stats_merge_properties {
             let mut rev = fwd.clone();
             rev.per_thread.reverse();
             prop_assert_eq!(fwd.merged(), rev.merged());
-            prop_assert_eq!(fwd.sheds(), rev.sheds());
             prop_assert_eq!(fwd.commits(), rev.commits());
         }
     }
