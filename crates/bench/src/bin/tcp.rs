@@ -5,11 +5,18 @@
 //! flags; `tcp list` names experiments, policies, workloads and
 //! distributions.
 
+use std::fmt::Display;
+use std::str::FromStr;
+use std::sync::Arc;
+
 use tcp_analysis::game_solver::{solve_conflict_game_with, Formulation};
-use tcp_bench::cli::{make_mode, make_policy, make_workload, Flags, POLICY_NAMES, WORKLOAD_NAMES};
+use tcp_bench::cli::{
+    make_mode, make_policy, make_workload, number, Flags, POLICY_NAMES, WORKLOAD_NAMES,
+};
 use tcp_bench::experiments::{sim_cell, EXPERIMENTS};
 use tcp_bench::table;
 use tcp_core::conflict::{Conflict, ResolutionMode};
+use tcp_htm_sim::config::SimConfig;
 use tcp_htm_sim::noc::Mesh;
 use tcp_workloads::dist::figure2_distributions;
 use tcp_workloads::synthetic::{run_synthetic, RemainingTime, SyntheticConfig};
@@ -102,6 +109,19 @@ fn cmd_sim(f: &Flags) -> Result<(), String> {
     let workload = make_workload(f.get("workload").unwrap_or("stack"), skew)?;
     let delay: f64 = f.num("delay", workload.tuned_delay())?;
     let policy = make_policy(f.get("policy").unwrap_or("rand-rw"), mu, delay)?;
+    // `SimConfig::new` asserts what `validate` checks: try each flag-set
+    // field on a probe first, so a bad value exits 2 naming its flag.
+    let probe = |cores, horizon| {
+        let base = SimConfig::new(1, Arc::clone(&policy));
+        SimConfig {
+            cores,
+            horizon,
+            ..base
+        }
+        .validate()
+    };
+    probe(threads, 1).map_err(|why| format!("--threads: {why}"))?;
+    probe(1, horizon).map_err(|why| format!("--horizon: {why}"))?;
     let seed = f.num("seed", 0xC0FFEE)?;
     let mode = make_mode(f.get("mode").unwrap_or("rw"))?;
     let mesh = if f.flag("mesh") {
@@ -138,13 +158,17 @@ fn cmd_sim(f: &Flags) -> Result<(), String> {
 }
 
 fn cmd_synthetic(f: &Flags) -> Result<(), String> {
-    let b: f64 = f.num("b", 2000.0)?;
+    // The arbiter floors abort costs at one cycle: a smaller B would run
+    // silently at B = 1.
+    let b = checked(f, "b", 2000.0, "finite and >= 1", |b: f64| {
+        b.is_finite() && b >= 1.0
+    })?;
     let mu: f64 = f.num("mu", 500.0)?;
     if !(1.0..).contains(&mu) {
         return Err(format!("--mu: a length mean must be >= 1, got {mu}"));
     }
-    let k: usize = f.num("k", 2)?;
-    let trials: usize = f.num("trials", 200_000)?;
+    let k = chain_len(f)?;
+    let trials = checked(f, "trials", 200_000, ">= 1", |n: usize| n >= 1)?;
     let policy = make_policy(f.get("policy").unwrap_or("rand-rw"), mu, mu)?;
     let name = f.get("dist").unwrap_or("exponential");
     let dist = figure2_distributions(mu)
@@ -174,8 +198,10 @@ fn cmd_synthetic(f: &Flags) -> Result<(), String> {
 }
 
 fn cmd_game(f: &Flags) -> Result<(), String> {
-    let k: usize = f.num("k", 2)?;
-    let b: f64 = f.num("b", 100.0)?;
+    let k = chain_len(f)?;
+    let b = checked(f, "b", 100.0, "finite and > 0", |b: f64| {
+        b.is_finite() && b > 0.0
+    })?;
     let iters: usize = f.num("iters", 200_000)?;
     let mode = make_mode(f.get("mode").unwrap_or("rw"))?;
     let formulation = if f.flag("paper-ra") {
@@ -196,4 +222,27 @@ fn cmd_game(f: &Flags) -> Result<(), String> {
         table::num(sol.upper),
     ]);
     Ok(())
+}
+
+/// `--key` as a number, refused (exit 2, naming the flag) unless `ok`
+/// holds: the values a constructor would assert on, or silently clamp.
+fn checked<T: FromStr + Display + Copy>(
+    f: &Flags,
+    key: &str,
+    default: T,
+    want: &str,
+    ok: impl Fn(T) -> bool,
+) -> Result<T, String> {
+    let value = f.parsed(key, |v| match number(v)? {
+        n if ok(n) => Ok(n),
+        n => Err(format!("must be {want}, got {n}")),
+    })?;
+    Ok(value.unwrap_or(default))
+}
+
+/// `--k`, the chain length: a conflict involves at least two
+/// transactions (`Conflict::chain` asserts it).
+fn chain_len(f: &Flags) -> Result<usize, String> {
+    let want = ">= 2 (a conflict involves at least two transactions)";
+    checked(f, "k", 2, want, |k| k >= 2)
 }

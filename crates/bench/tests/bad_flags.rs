@@ -37,6 +37,27 @@ fn tcp_rejects_flags_a_command_does_not_take() {
     rejects("fig2a --trace x", "unknown flag --trace; one of: --quick");
 }
 
+/// Numbers that parse but that a constructor would assert on (a panic,
+/// exit 101) or silently clamp or divide by (a wrong or NaN table) are
+/// refused the same way.
+#[test]
+fn out_of_range_numbers_are_refused_naming_the_flag() {
+    for t in ["0", "65"] {
+        let err = format!("--threads: 1..=64 cores supported, got {t}");
+        rejects(&format!("sim --threads {t}"), &err);
+    }
+    rejects(
+        "sim --horizon 0",
+        "--horizon: horizon must be at least 1 cycle",
+    );
+    let k = "--k: must be >= 2 (a conflict involves at least two transactions), got 1";
+    rejects("game --k 1", k);
+    rejects("synthetic --k 1", k);
+    rejects("game --b 0", "--b: must be finite and > 0, got 0");
+    rejects("synthetic --b 0", "--b: must be finite and >= 1, got 0");
+    rejects("synthetic --trials 0", "--trials: must be >= 1, got 0");
+}
+
 #[test]
 fn serving_sweeps_reject_unknown_flags() {
     for row in ["serve", "serve_load", "serve_skew"] {

@@ -28,8 +28,9 @@
 //!
 //! Everything is gated behind [`TraceConfig`]: a disabled trace is an
 //! `Option::None` at every emission point — a single branch on the hot
-//! path, measured at well under 3% even when enabled (`trace_ab` in the
-//! `serve` bench).
+//! path. What the *enabled* path costs is unmeasured (README, "Overhead":
+//! the retired `trace_ab` section of `serve` never had a trustworthy
+//! number).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -47,10 +47,10 @@ use tcp_core::engine::EngineStats;
 use tcp_core::policy::GracePolicy;
 use tcp_core::rng::Xoshiro256StarStar;
 use tcp_core::trace::{Trace, TraceKind};
-use tcp_stm::runtime::{Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, Stm, TxCtx};
+use tcp_stm::runtime::{Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, Stm, Tx, TxCtx};
 
 use crate::client::spin_ns;
-use crate::protocol::{Request, Response};
+use crate::protocol::{Key, Request, Response};
 use crate::queue::{Envelope, ShardQueue};
 
 /// Shortest idle park of a work-stealing executor between steal scans —
@@ -120,13 +120,14 @@ pub fn run_executor<P: GracePolicy>(
         ctx.set_trace(Arc::clone(t));
     }
     let own = &queues[cfg.shard];
+    let heap = ctx.heap_len();
     let mut batch = Vec::with_capacity(cfg.batch_max);
     let mut idle_park = IDLE_PARK_MIN;
     // Group-commit machinery, reused across batches: the planner's
     // scratch, a pool of speculation read/write sets, the speculated
     // envelopes awaiting their group's verdict, the outcome table, the
-    // member→envelope index, eviction re-run responses, and one group
-    // counter tally merged into the shard stats at exit.
+    // member→envelope index, and one group counter tally merged into the
+    // shard stats at exit.
     let mut gc = GroupCommit::new();
     if let Some(t) = &cfg.trace {
         gc.set_trace(Arc::clone(t));
@@ -135,7 +136,6 @@ pub fn run_executor<P: GracePolicy>(
     let mut pending: Vec<(Envelope, Pending)> = Vec::new();
     let mut outcomes: Vec<MemberOutcome> = Vec::new();
     let mut member_env: Vec<usize> = Vec::new();
-    let mut fallback_resps: Vec<Option<Response>> = Vec::new();
     let mut group_stats = EngineStats::default();
     loop {
         // Own ring first: home work keeps its locality and its FIFO.
@@ -229,43 +229,29 @@ pub fn run_executor<P: GracePolicy>(
             // touch the speculation/validation machinery at all).
             pending.clear();
             member_env.clear();
-            fallback_resps.clear();
             let mut spec_count = 0usize;
             for env in batch.drain(..) {
                 ctx.set_trace_tag(env.gen, env.req.home_key());
                 if cfg.snapshot_reads && env.req.is_read_only() {
-                    let resp = execute_snapshot(&mut ctx, &env.req, cfg.work_ns);
+                    let resp = execute_request(&mut ctx, cfg, &env.req, 0);
                     pending.push((env, Pending::Ready(resp)));
                     continue;
                 }
                 if member_pool.len() == spec_count {
                     member_pool.push(PreparedTx::new());
                 }
-                match speculate_request(
-                    &mut ctx,
-                    &mut member_pool[spec_count],
-                    &env.req,
-                    cfg.work_ns,
-                ) {
-                    Ok(kind) => {
-                        ctx.trace_event(TraceKind::Speculate, 1, 0);
+                let prep = &mut member_pool[spec_count];
+                match ctx.speculate_into(prep, |tx| body(tx, &env.req, heap, cfg.work_ns)) {
+                    Ok(resp) => {
+                        let spec = finals(&env.req, prep);
                         member_env.push(pending.len());
-                        fallback_resps.push(None);
-                        pending.push((env, Pending::Member(spec_count, kind)));
+                        pending.push((env, Pending::Member(spec_count, resp, spec)));
                         spec_count += 1;
                     }
-                    Err(a) => {
-                        // A conflict mid-speculation is an ordinary abort;
-                        // the envelope re-runs through the per-tx path.
-                        ctx.stats.record_abort(a.into(), 0);
-                        ctx.trace_event(TraceKind::Speculate, 0, 0);
-                        ctx.trace_abort(a.into());
-                        if env.req.is_read_only() {
-                            ctx.stats.read_aborts += 1;
-                        }
-                        ctx.arbiter.on_abort();
-                        pending.push((env, Pending::Rerun));
-                    }
+                    // A conflict mid-speculation is an ordinary abort
+                    // (accounted by `speculate_into`); the envelope
+                    // re-runs through the per-tx path.
+                    Err(_) => pending.push((env, Pending::Rerun)),
                 }
             }
             // Phase B: plan disjoint groups and publish each under a
@@ -274,51 +260,45 @@ pub fn run_executor<P: GracePolicy>(
             // next group commits — so batch order stays the serialization
             // order and the final heap is grouping-independent even for
             // order-sensitive absolute writes.
-            {
-                let ctx = &mut ctx;
-                let fallback_resps = &mut fallback_resps;
-                let member_env = &member_env;
-                gc.commit_batch_with(
-                    stm,
-                    cfg.shard,
-                    &mut member_pool[..spec_count],
-                    &mut group_stats,
-                    &mut outcomes,
-                    |mi| {
-                        let env = &pending[member_env[mi]].0;
-                        ctx.set_trace_tag(env.gen, env.req.home_key());
-                        ctx.trace_event(TraceKind::GroupFallback, mi as u64, 0);
-                        let before = ctx.stats.aborts;
-                        fallback_resps[mi] = Some(execute(ctx, &env.req, cfg.work_ns));
-                        if env.req.is_read_only() {
-                            ctx.stats.read_aborts += ctx.stats.aborts - before;
-                        }
-                    },
-                );
-            }
-            // Phase C: deliver responses in batch order. Group-committed
-            // members build value-bearing responses from their resolved
-            // write entries; fallbacks already re-ran (above, or here for
-            // speculation aborts) through the per-tx path, where the
-            // ConflictArbiter governs whatever evicted them.
-            for (env, spec) in pending.drain(..) {
-                let resp = match spec {
+            gc.commit_batch_with(
+                stm,
+                cfg.shard,
+                &mut member_pool[..spec_count],
+                &mut group_stats,
+                &mut outcomes,
+                |mi| {
+                    let (env, state) = &mut pending[member_env[mi]];
+                    ctx.set_trace_tag(env.gen, env.req.home_key());
+                    ctx.trace_event(TraceKind::GroupFallback, mi as u64, 0);
+                    ctx.stats.group_fallbacks += 1;
+                    *state = Pending::Ready(execute_request(&mut ctx, cfg, &env.req, 0));
+                },
+            );
+            // Phase C: deliver responses in batch order. A member still
+            // pending committed with its group: its reply is its
+            // speculative one shifted by how far the group resolved its
+            // keys. Evicted members already re-ran in the hook, and
+            // speculation aborts re-run here, through the per-tx path,
+            // where the ConflictArbiter governs whatever evicted them.
+            for (env, state) in pending.drain(..) {
+                let resp = match state {
                     Pending::Ready(resp) => resp,
-                    Pending::Member(j, kind) if outcomes[j] == MemberOutcome::Committed => {
+                    Pending::Member(j, resp, spec) => {
+                        debug_assert_eq!(outcomes[j], MemberOutcome::Committed);
                         ctx.stats.commits += 1;
                         ctx.arbiter.on_commit();
-                        finish_response(&kind, &member_pool[j])
-                    }
-                    Pending::Member(j, _) => {
-                        ctx.stats.group_fallbacks += 1;
-                        fallback_resps[j]
-                            .take()
-                            .expect("fallback member was re-run in the hook")
+                        let by = finals(&env.req, &member_pool[j]).wrapping_sub(spec);
+                        match resp {
+                            Response::Added(v) => Response::Added(v.wrapping_add(by)),
+                            Response::RmwSum(v) => Response::RmwSum(v.wrapping_add(by)),
+                            resp => resp,
+                        }
                     }
                     Pending::Rerun => {
                         ctx.stats.group_fallbacks += 1;
                         ctx.set_trace_tag(env.gen, env.req.home_key());
-                        execute_request(&mut ctx, cfg, &env.req)
+                        // Its failed speculation was one abort already.
+                        execute_request(&mut ctx, cfg, &env.req, 1)
                     }
                 };
                 service_start =
@@ -328,7 +308,7 @@ pub fn run_executor<P: GracePolicy>(
         } else {
             for env in batch.drain(..) {
                 ctx.set_trace_tag(env.gen, env.req.home_key());
-                let resp = execute_request(&mut ctx, cfg, &env.req);
+                let resp = execute_request(&mut ctx, cfg, &env.req, 0);
                 service_start =
                     record_envelope(&mut ctx, &queues[source], cfg, &env, service_start);
                 // Misdeliveries are counted inside the cell and surfaced
@@ -378,10 +358,12 @@ fn record_envelope<P: GracePolicy>(
 
 /// How one batch envelope awaits its reply in group-commit mode.
 enum Pending {
-    /// Speculated as group member `usize`; the response is built from
-    /// the member's resolved writes once its group commits.
-    Member(usize, RespKind),
-    /// Already served (the MVCC snapshot fast path) — reply as-is.
+    /// Speculated as group member `usize`, with its speculative reply and
+    /// [`finals`] at speculation; the reply is shifted once its group
+    /// commits.
+    Member(usize, Response, u64),
+    /// Already served (the MVCC snapshot fast path, or a member its group
+    /// evicted, re-run in the fallback hook) — reply as-is.
     Ready(Response),
     /// Speculation aborted; re-run through the per-tx path at response
     /// time.
@@ -391,12 +373,14 @@ enum Pending {
 /// Dispatch one request to its serving path: the MVCC snapshot reader
 /// for read-only requests when enabled, the validated transactional path
 /// otherwise. On the validated path, aborts incurred by read-only
-/// requests are additionally tallied as `read_aborts` — the waste the
+/// requests — including the `spent` ones its failed speculation already
+/// took — are additionally tallied as `read_aborts`, the waste the
 /// snapshot mode exists to remove.
 fn execute_request<P: GracePolicy>(
     ctx: &mut TxCtx<'_, P>,
     cfg: &ExecutorConfig,
     req: &Request,
+    spent: u64,
 ) -> Response {
     if req.is_read_only() {
         if cfg.snapshot_reads {
@@ -404,192 +388,103 @@ fn execute_request<P: GracePolicy>(
         }
         let before = ctx.stats.aborts;
         let resp = execute(ctx, req, cfg.work_ns);
-        ctx.stats.read_aborts += ctx.stats.aborts - before;
+        ctx.stats.read_aborts += spent + ctx.stats.aborts - before;
         return resp;
     }
     execute(ctx, req, cfg.work_ns)
 }
 
-/// What a speculated request still needs to produce its [`Response`]
-/// after its group commits: value-bearing responses resolve against the
-/// member's (possibly folded) write entries.
-enum RespKind {
-    /// `Get`: the value is final at speculation time (read-only members
-    /// serialize before their group's writers).
-    Value(u64),
-    /// `Put`: the response carries no value.
-    Written,
-    /// `Add`: respond with the resolved value of this address.
-    Added(Addr),
-    /// `Rmw`: respond with Σ over steps of `resolved(addr) − deficit`,
-    /// where the deficit re-creates each step's intermediate value from
-    /// the final one (repeated keys within one RMW fold in-transaction).
-    RmwSum(Vec<(Addr, u64)>),
-    /// `GetRange`/`GetMany`: the summed response is final at speculation
-    /// time, like `Value`.
-    Done(Response),
-}
-
-/// Run one request's transaction body **speculatively** on `ctx`: the
-/// read/write sets land in `prep`, nothing commits. Returns how to build
-/// the response once the group publishes.
-fn speculate_request<'s, P: GracePolicy>(
-    ctx: &mut TxCtx<'s, P>,
-    prep: &mut PreparedTx,
-    req: &Request,
-    work_ns: u64,
-) -> Result<RespKind, Abort> {
+/// Σ over a writing request's keys (repeats included) of the value member
+/// `prep` leaves at each: the speculative finals before its group
+/// publishes, the resolved ones after. Each step of an `Add` / `Rmw` saw
+/// its key shifted by exactly that key's (resolved − speculative), so
+/// the committed reply is the speculative one plus the difference of two
+/// such sums.
+fn finals(req: &Request, prep: &PreparedTx) -> u64 {
+    let fin = |k: Key| {
+        prep.value_of(k as usize)
+            .expect("a writing member wrote its keys")
+    };
     match req {
-        Request::Get(k) => {
-            let a = *k as usize;
-            ctx.speculate_into(prep, |tx| {
-                let v = tx.read(a)?;
-                spin_ns(work_ns);
-                Ok(RespKind::Value(v))
-            })
-        }
-        Request::Put(k, v) => {
-            let (a, v) = (*k as usize, *v);
-            ctx.speculate_into(prep, |tx| {
-                spin_ns(work_ns);
-                tx.write(a, v)?;
-                Ok(RespKind::Written)
-            })
-        }
-        Request::Add(k, delta) => {
-            let (a, delta) = (*k as usize, *delta);
-            ctx.speculate_into(prep, |tx| {
-                tx.write_add(a, delta)?;
-                spin_ns(work_ns);
-                Ok(RespKind::Added(a))
-            })
-        }
-        Request::Rmw { keys, delta } => {
-            let delta = *delta;
-            let steps = ctx.speculate_into(prep, |tx| {
-                let mut steps = Vec::with_capacity(keys.len());
-                for &k in keys {
-                    let v = tx.write_add(k as usize, delta)?;
-                    steps.push((k as usize, v));
-                }
-                spin_ns(work_ns);
-                Ok(steps)
-            })?;
-            // Deficit = member-final − step value, so each step's
-            // intermediate value can be rebuilt from the group-resolved
-            // final one without knowing the fold base in advance.
-            Ok(RespKind::RmwSum(
-                steps
-                    .into_iter()
-                    .map(|(a, v)| {
-                        let fin = prep.value_of(a).expect("rmw step wrote this addr");
-                        (a, fin.wrapping_sub(v))
-                    })
-                    .collect(),
-            ))
-        }
-        Request::GetRange { start, len } => {
-            let (start, len) = (*start as usize, *len as usize);
-            let heap = ctx.heap_len();
-            ctx.speculate_into(prep, |tx| {
-                let mut sum = 0u64;
-                for a in start.min(heap)..start.saturating_add(len).min(heap) {
-                    sum = sum.wrapping_add(tx.read(a)?);
-                }
-                spin_ns(work_ns);
-                Ok(RespKind::Done(Response::RangeSum(sum)))
-            })
-        }
-        Request::GetMany { keys } => ctx.speculate_into(prep, |tx| {
-            let mut sum = 0u64;
-            for &k in keys {
-                sum = sum.wrapping_add(tx.read(k as usize)?);
-            }
-            spin_ns(work_ns);
-            Ok(RespKind::Done(Response::ManySum(sum)))
-        }),
+        Request::Add(k, _) => fin(*k),
+        Request::Rmw { keys, .. } => keys.iter().fold(0, |s, &k| s.wrapping_add(fin(k))),
+        _ => 0,
     }
 }
 
-/// Build the final [`Response`] of a group-committed member from its
-/// resolved write entries.
-fn finish_response(kind: &RespKind, prep: &PreparedTx) -> Response {
-    let resolved = |a: Addr| prep.value_of(a).expect("committed member wrote this addr");
-    match kind {
-        RespKind::Value(v) => Response::Value(*v),
-        RespKind::Written => Response::Written,
-        RespKind::Added(a) => Response::Added(resolved(*a)),
-        RespKind::RmwSum(steps) => Response::RmwSum(steps.iter().fold(0u64, |s, &(a, deficit)| {
-            s.wrapping_add(resolved(a).wrapping_sub(deficit))
-        })),
-        RespKind::Done(resp) => *resp,
+/// The transaction body of a read-only request, through either reader:
+/// `read` is the validated [`Tx::read`] or the MVCC
+/// [`SnapshotTx::read`](tcp_stm::runtime::SnapshotTx::read).
+/// Scans clamp to the heap (`heap` words) instead of panicking.
+fn read_body<E>(
+    mut read: impl FnMut(Addr) -> Result<u64, E>,
+    req: &Request,
+    heap: usize,
+    work_ns: u64,
+) -> Result<Response, E> {
+    let resp = match req {
+        Request::Get(k) => Response::Value(read(*k as usize)?),
+        Request::GetRange { start, len } => {
+            let (start, len) = (*start as usize, *len as usize);
+            let mut sum = 0u64;
+            for a in start.min(heap)..start.saturating_add(len).min(heap) {
+                sum = sum.wrapping_add(read(a)?);
+            }
+            Response::RangeSum(sum)
+        }
+        Request::GetMany { keys } => {
+            let mut sum = 0u64;
+            for &k in keys {
+                sum = sum.wrapping_add(read(k as usize)?);
+            }
+            Response::ManySum(sum)
+        }
+        other => unreachable!("read-only body got a writing request: {other:?}"),
+    };
+    spin_ns(work_ns);
+    Ok(resp)
+}
+
+/// The one transaction body of every request kind, run by
+/// [`TxCtx::run`] ([`execute`]) and by [`TxCtx::speculate_into`] (group
+/// members); its read-only half is [`read_body`]. `work_ns` is the
+/// in-transaction compute (spun via [`spin_ns`]) — the paper's
+/// transaction length, re-spun on every attempt.
+fn body<P: GracePolicy>(
+    tx: &mut Tx<'_, '_, P>,
+    req: &Request,
+    heap: usize,
+    work_ns: u64,
+) -> Result<Response, Abort> {
+    match req {
+        Request::Put(k, v) => {
+            spin_ns(work_ns);
+            tx.write(*k as usize, *v)?;
+            Ok(Response::Written)
+        }
+        Request::Add(k, delta) => {
+            let v = tx.write_add(*k as usize, *delta)?;
+            spin_ns(work_ns);
+            Ok(Response::Added(v))
+        }
+        Request::Rmw { keys, delta } => {
+            let mut sum = 0u64;
+            for &k in keys {
+                sum = sum.wrapping_add(tx.write_add(k as usize, *delta)?);
+            }
+            spin_ns(work_ns);
+            Ok(Response::RmwSum(sum))
+        }
+        _ => read_body(|a| tx.read(a), req, heap, work_ns),
     }
 }
 
 /// Execute one request as an STM transaction on this shard's context. The
 /// transaction body re-runs from scratch on every abort (`TxCtx::run`
-/// retries until commit), so all per-attempt state lives inside the
-/// closure. `work_ns` is the in-transaction compute (spun via
-/// [`spin_ns`]) between the reads and the writes — the paper's
-/// transaction length, re-spun on every attempt.
+/// retries until commit), so all per-attempt state lives inside it.
 pub fn execute<P: GracePolicy>(ctx: &mut TxCtx<'_, P>, req: &Request, work_ns: u64) -> Response {
-    match req {
-        Request::Get(k) => {
-            let a = *k as usize;
-            Response::Value(ctx.run(|tx| {
-                let v = tx.read(a)?;
-                spin_ns(work_ns);
-                Ok(v)
-            }))
-        }
-        Request::Put(k, v) => {
-            let (a, v) = (*k as usize, *v);
-            ctx.run(|tx| {
-                spin_ns(work_ns);
-                tx.write(a, v)
-            });
-            Response::Written
-        }
-        Request::Add(k, delta) => {
-            let (a, delta) = (*k as usize, *delta);
-            Response::Added(ctx.run(|tx| {
-                let v = tx.write_add(a, delta)?;
-                spin_ns(work_ns);
-                Ok(v)
-            }))
-        }
-        Request::Rmw { keys, delta } => {
-            let delta = *delta;
-            Response::RmwSum(ctx.run(|tx| {
-                let mut sum = 0u64;
-                for &k in keys {
-                    sum = sum.wrapping_add(tx.write_add(k as usize, delta)?);
-                }
-                spin_ns(work_ns);
-                Ok(sum)
-            }))
-        }
-        Request::GetRange { start, len } => {
-            let (start, len) = (*start as usize, *len as usize);
-            let heap = ctx.heap_len();
-            Response::RangeSum(ctx.run(|tx| {
-                let mut sum = 0u64;
-                for a in start.min(heap)..start.saturating_add(len).min(heap) {
-                    sum = sum.wrapping_add(tx.read(a)?);
-                }
-                spin_ns(work_ns);
-                Ok(sum)
-            }))
-        }
-        Request::GetMany { keys } => Response::ManySum(ctx.run(|tx| {
-            let mut sum = 0u64;
-            for &k in keys {
-                sum = sum.wrapping_add(tx.read(k as usize)?);
-            }
-            spin_ns(work_ns);
-            Ok(sum)
-        })),
-    }
+    let heap = ctx.heap_len();
+    ctx.run(|tx| body(tx, req, heap, work_ns))
 }
 
 /// Execute one *read-only* request through the MVCC snapshot fast path:
@@ -603,36 +498,7 @@ pub fn execute_snapshot<P: GracePolicy>(
     work_ns: u64,
 ) -> Response {
     let heap = ctx.heap_len();
-    match req {
-        Request::Get(k) => {
-            let a = *k as usize;
-            Response::Value(ctx.run_snapshot(|snap| {
-                let v = snap.read(a)?;
-                spin_ns(work_ns);
-                Ok(v)
-            }))
-        }
-        Request::GetRange { start, len } => {
-            let (start, len) = (*start as usize, *len as usize);
-            Response::RangeSum(ctx.run_snapshot(|snap| {
-                let mut sum = 0u64;
-                for a in start.min(heap)..start.saturating_add(len).min(heap) {
-                    sum = sum.wrapping_add(snap.read(a)?);
-                }
-                spin_ns(work_ns);
-                Ok(sum)
-            }))
-        }
-        Request::GetMany { keys } => Response::ManySum(ctx.run_snapshot(|snap| {
-            let mut sum = 0u64;
-            for &k in keys {
-                sum = sum.wrapping_add(snap.read(k as usize)?);
-            }
-            spin_ns(work_ns);
-            Ok(sum)
-        })),
-        other => unreachable!("snapshot path got a writing request: {other:?}"),
-    }
+    ctx.run_snapshot(|snap| read_body(|a| snap.read(a), req, heap, work_ns))
 }
 
 #[cfg(test)]

@@ -776,6 +776,55 @@ fn validate_read(
     }
 }
 
+/// Commit phase 3 primitive, the one publish of both commit paths: every
+/// `(slot, value)` of `plan` is locked by `owner`. Flag the held locks as
+/// publishing, one clock bump, then chain pushes + value stores, then
+/// version-release stores. The [`PUBLISH_BIT`] must go up *before* the
+/// bump: a snapshot reader that sees a flagless lock may conclude the
+/// pending version exceeds its clock sample and trust the chain.
+fn publish(stm: &Stm, owner: usize, plan: impl Iterator<Item = (usize, u64)> + Clone) {
+    for (slot, _) in plan.clone() {
+        // Relaxed: we already own the lock, so no third party may write
+        // meta; visibility of the flag to snapshot readers is carried by
+        // the AcqRel clock bump below — a reader whose rv covers our bump
+        // synchronizes with it and therefore sees the flag (or a later
+        // meta) at its own Acquire load. That is exactly the "flagless
+        // lock ⇒ pending version > rv" inference.
+        stm.pair(slot)
+            .meta
+            .store(pack_locked(owner) | PUBLISH_BIT, Ordering::Relaxed);
+    }
+    // AcqRel: the Release half publishes the PUBLISH_BIT stores above to
+    // clock samplers; the Acquire half keeps this bump (and the stores
+    // after it) ordered after every earlier committer's publication,
+    // preserving version monotonicity per word.
+    let wv = (stm.clock.fetch_add(1, Ordering::AcqRel) + 1) & VERSION_MASK;
+    for (slot, val) in plan.clone() {
+        stm.cold(slot).push_chain(wv, val);
+        // Release: a reader that Acquire-loads this value also sees our
+        // locked meta (stored before it), which is what makes the
+        // seqlock double-check sound.
+        stm.pair(slot).value.store(val, Ordering::Release);
+    }
+    for (slot, _) in plan {
+        // Release — THE publication point: pairs with readers' and
+        // validators' Acquire meta loads; observing version wv makes the
+        // value and chain stores above visible.
+        stm.pair(slot).meta.store(wv, Ordering::Release);
+    }
+}
+
+/// The one release of both commit paths: restore the pre-lock meta of
+/// every held `(slot, meta)`.
+fn release(stm: &Stm, held: impl Iterator<Item = (usize, u64)>) {
+    for (slot, prev) in held {
+        // Release: the unlock side of the meta handoff — pairs with the
+        // next acquirer's CAS-Acquire (uniform with the publish store,
+        // though an aborting release published nothing).
+        stm.pair(slot).meta.store(prev, Ordering::Release);
+    }
+}
+
 /// Inline capacity of the transaction-local sets: the serve workloads'
 /// largest transaction touches `rmw_span` (default 4) words, so 8 keeps
 /// every standard read/write set on the stack; bigger transactions spill
@@ -974,13 +1023,19 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
                     return v;
                 }
                 Err(a) => {
-                    self.stats.record_abort(a.into(), 0);
-                    self.trace_abort(a.into());
-                    self.arbiter.on_abort();
+                    self.record_abort(a);
                     std::hint::spin_loop();
                 }
             }
         }
+    }
+
+    /// Account one failed attempt: the abort tally, its trace event and
+    /// the arbiter's backoff.
+    fn record_abort(&mut self, a: Abort) {
+        self.stats.record_abort(a.into(), 0);
+        self.trace_abort(a.into());
+        self.arbiter.on_abort();
     }
 
     /// Number of words in the underlying heap (for request-argument
@@ -1035,9 +1090,9 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
     /// Run `body` once **speculatively**: execute it against the current
     /// snapshot, capturing the read and write sets into `prep`, without
     /// committing and without retrying. On success the caller hands the
-    /// [`PreparedTx`] to [`GroupCommit`]; on abort the caller falls back
-    /// to [`run`](Self::run). `prep`'s allocations are reused across
-    /// calls.
+    /// [`PreparedTx`] to [`GroupCommit`]; an abort is accounted here like
+    /// one of [`run`](Self::run)'s, and the caller falls back to `run`.
+    /// `prep`'s allocations are reused across calls.
     pub fn speculate_into<T>(
         &mut self,
         prep: &mut PreparedTx,
@@ -1061,6 +1116,10 @@ impl<'s, P: GracePolicy> TxCtx<'s, P> {
         let out = body(&mut tx);
         std::mem::swap(&mut self.read_buf, &mut prep.reads);
         std::mem::swap(&mut self.write_buf, &mut prep.writes);
+        self.trace_event(TraceKind::Speculate, out.is_ok() as u64, 0);
+        if let Err(a) = out {
+            self.record_abort(a);
+        }
         out
     }
 }
@@ -1297,7 +1356,12 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
             self.release_locks();
             return Err(Abort::RemoteKill);
         }
-        self.publish_writes();
+        let writes = self.ctx.write_buf.iter();
+        publish(
+            self.ctx.stm,
+            self.ctx.id,
+            writes.map(|e| (e.slot as usize, e.val)),
+        );
         self.ctx
             .trace_event(TraceKind::Publish, self.ctx.write_buf.len() as u64, 0);
         Ok(())
@@ -1346,60 +1410,14 @@ impl<'s, P: GracePolicy> Tx<'_, 's, P> {
         Ok(())
     }
 
-    /// Phase 3: flag the held locks as publishing, one clock bump, then
-    /// chain pushes + value stores, then version-release stores. The
-    /// [`PUBLISH_BIT`] must go up *before* the bump: a snapshot reader
-    /// that sees a flagless lock may conclude the pending version
-    /// exceeds its clock sample and trust the chain.
-    fn publish_writes(&self) {
-        let stm = self.ctx.stm;
-        for e in self.ctx.write_buf.iter() {
-            // Relaxed: we already own the lock, so no third party may
-            // write meta; visibility of the flag to snapshot readers is
-            // carried by the AcqRel clock bump below — a reader whose rv
-            // covers our bump synchronizes with it and therefore sees
-            // the flag (or a later meta) at its own Acquire load. That
-            // is exactly the "flagless lock ⇒ pending version > rv"
-            // inference.
-            stm.pair(e.slot as usize)
-                .meta
-                .store(pack_locked(self.ctx.id) | PUBLISH_BIT, Ordering::Relaxed);
-        }
-        // AcqRel: the Release half publishes the PUBLISH_BIT stores
-        // above to clock samplers; the Acquire half keeps this bump (and
-        // the stores after it) ordered after every earlier committer's
-        // publication, preserving version monotonicity per word.
-        let wv = stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
-        for e in self.ctx.write_buf.iter() {
-            let slot = e.slot as usize;
-            stm.cold(slot).push_chain(wv & VERSION_MASK, e.val);
-            // Release: a reader that Acquire-loads this value also sees
-            // our locked meta (stored before it), which is what makes
-            // the seqlock double-check sound.
-            stm.pair(slot).value.store(e.val, Ordering::Release);
-        }
-        for e in self.ctx.write_buf.iter() {
-            // Release — THE publication point: pairs with readers' and
-            // validators' Acquire meta loads; observing version wv makes
-            // the value and chain stores above visible.
-            stm.pair(e.slot as usize)
-                .meta
-                .store(wv & VERSION_MASK, Ordering::Release);
-        }
-    }
-
-    /// Restore the pre-lock meta of every lock held so far.
+    /// Release every lock held so far (the restore set is parallel to the
+    /// sorted write set's locked prefix).
     fn release_locks(&self) {
-        for (e, &prev) in self.ctx.write_buf.iter().zip(self.ctx.restore_buf.iter()) {
-            // Release: the unlock side of the meta handoff — pairs with
-            // the next acquirer's CAS-Acquire (uniform with the publish
-            // store, though an aborting release published nothing).
-            self.ctx
-                .stm
-                .pair(e.slot as usize)
-                .meta
-                .store(prev, Ordering::Release);
-        }
+        let slots = self.ctx.write_buf.iter().map(|e| e.slot as usize);
+        release(
+            self.ctx.stm,
+            slots.zip(self.ctx.restore_buf.iter().copied()),
+        );
     }
 }
 
@@ -1503,9 +1521,10 @@ pub struct GroupCommit {
     /// Partition-time plain-read slots of the current group's writers.
     fit_reads: Vec<usize>,
     /// Commit-time publish plan: the deduped union of the group's write
-    /// slots (fold structure is read off the members' entries).
-    slots: Vec<usize>,
-    /// Commit-time `(slot, pre-lock meta)`, parallel to `slots`' acquired
+    /// slots, each with its folded value once resolved (fold structure is
+    /// read off the members' entries).
+    plan: Vec<(usize, u64)>,
+    /// Commit-time `(slot, pre-lock meta)`, parallel to `plan`'s acquired
     /// prefix.
     restore: Vec<(usize, u64)>,
     /// Lifecycle trace sink for group-level events (one `GroupCommit`
@@ -1642,16 +1661,6 @@ impl GroupCommit {
         self.fit_reads.clear();
     }
 
-    /// Release every lock acquired so far in this attempt. Release: the
-    /// unlock side of the meta handoff (pairs with acquirers' CAS-
-    /// Acquire), same as the per-tx `release_locks`.
-    fn release_held(&mut self, stm: &Stm) {
-        for &(slot, prev) in &self.restore {
-            stm.pair(slot).meta.store(prev, Ordering::Release);
-        }
-        self.restore.clear();
-    }
-
     /// Evict every still-active member writing `slot` (they fall back).
     fn fail_writers_of(&mut self, slot: usize, members: &[PreparedTx]) {
         self.active.retain(|&mi| !members[mi].writes_slot(slot));
@@ -1672,32 +1681,33 @@ impl GroupCommit {
         self.active.clear();
         self.active.extend_from_slice(&self.group);
         'retry: while !self.active.is_empty() {
-            // Build the folded publish plan from the surviving members.
-            self.slots.clear();
+            // Build the publish plan from the surviving members: the
+            // union of their write slots, in slot order.
+            self.plan.clear();
             for &mi in &self.active {
                 for e in members[mi].writes() {
-                    if !self.slots.contains(&(e.slot as usize)) {
-                        self.slots.push(e.slot as usize);
+                    if !self.plan.iter().any(|&(s, _)| s == e.slot as usize) {
+                        self.plan.push((e.slot as usize, 0));
                     }
                 }
             }
-            self.slots.sort_unstable();
+            self.plan.sort_unstable();
 
             // Phase 1: acquire the union of write locks in slot order (the
             // per-tx path's order). A foreign lock evicts that word's
-            // writers — no waiting
-            // while the group holds locks; the evicted members' per-tx
-            // re-run contends under the grace policy. No version check
-            // here: blind writes may publish over any version (a later
-            // group legitimately overwrites its predecessor's bump), and
-            // read validity is entirely phase 2's job.
+            // writers — no waiting while the group holds locks; the
+            // evicted members' per-tx re-run contends under the grace
+            // policy. No version check here: blind writes may publish
+            // over any version (a later group legitimately overwrites its
+            // predecessor's bump), and read validity is entirely phase
+            // 2's job.
             self.restore.clear();
-            for si in 0..self.slots.len() {
-                let slot = self.slots[si];
+            for pi in 0..self.plan.len() {
+                let slot = self.plan[pi].0;
                 match lock_cell(stm, slot, owner, u64::MAX) {
                     Ok(prev) => self.restore.push((slot, prev)),
                     Err(_) => {
-                        self.release_held(stm);
+                        release(stm, self.restore.drain(..));
                         self.fail_writers_of(slot, members);
                         continue 'retry;
                     }
@@ -1723,7 +1733,7 @@ impl GroupCommit {
                 ok
             });
             if any_failed {
-                self.release_held(stm);
+                release(stm, self.restore.drain(..));
                 continue 'retry;
             }
             // Relaxed: advisory flag (see `Tx::killed`).
@@ -1731,68 +1741,40 @@ impl GroupCommit {
                 // A requestor-wins contender flagged us: release and send
                 // the whole group to the per-tx path, which honors the
                 // flag at its next attempt boundary.
-                self.release_held(stm);
+                release(stm, self.restore.drain(..));
                 self.active.clear();
                 return;
             }
 
-            // Phase 3: publish the folded plan under ONE clock bump,
-            // resolving folded Add values in member (= serialization)
-            // order so value-bearing responses match a serial execution.
-            if !self.slots.is_empty() {
-                // Same publish protocol (and the same ordering argument)
-                // as the per-tx `publish_writes`: flag every held lock
-                // before the group's single AcqRel bump so snapshot
-                // readers can order themselves against it; Relaxed flag
-                // stores ride the bump's Release half.
-                for &(slot, _) in &self.restore {
-                    stm.pair(slot)
-                        .meta
-                        .store(pack_locked(owner) | PUBLISH_BIT, Ordering::Relaxed);
-                }
-                let wv = stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
+            // Phase 3: resolve the folded plan under the held locks,
+            // folded Add values in member (= serialization) order so
+            // value-bearing responses match a serial execution, then
+            // publish it under ONE clock bump.
+            if !self.plan.is_empty() {
                 let mut coalesced = 0u64;
-                for si in 0..self.slots.len() {
-                    let slot = self.slots[si];
-                    let pair = stm.pair(slot);
+                for (slot, val) in self.plan.iter_mut() {
                     // Relaxed: we hold the word's lock, and the lock
                     // CAS's Acquire synchronized with the previous
                     // publisher's Release, so this reads the latest
                     // published value without further ordering.
-                    let mut val = pair.value.load(Ordering::Relaxed);
+                    *val = stm.pair(*slot).value.load(Ordering::Relaxed);
                     let mut first = true;
-                    for gi in 0..self.active.len() {
-                        let mi = self.active[gi];
-                        let at = |e: &WriteEntry| e.slot as usize == slot;
-                        if let Some(i) = members[mi].writes.iter().position(at) {
-                            if !first {
-                                coalesced += 1;
-                            }
+                    for &mi in &self.active {
+                        let at = |e: &&mut WriteEntry| e.slot as usize == *slot;
+                        if let Some(e) = members[mi].writes.iter_mut().find(at) {
+                            coalesced += u64::from(!first);
                             first = false;
-                            let e = &mut members[mi].writes[i];
                             match e.op {
-                                WriteOp::Set => val = e.val,
+                                WriteOp::Set => *val = e.val,
                                 WriteOp::Add => {
-                                    val = val.wrapping_add(e.delta);
-                                    e.val = val;
+                                    *val = val.wrapping_add(e.delta);
+                                    e.val = *val;
                                 }
                             }
                         }
                     }
-                    // Chain slot first (Release stores inside), then the
-                    // hot value with Release so the subsequent meta
-                    // Release publication makes both visible together.
-                    stm.cold(slot).push_chain(wv & VERSION_MASK, val);
-                    pair.value.store(val, Ordering::Release);
                 }
-                for &(slot, _) in &self.restore {
-                    // Release: THE publication point for the group — a
-                    // reader whose Acquire meta load sees `wv` also sees
-                    // every value/chain store above.
-                    stm.pair(slot)
-                        .meta
-                        .store(wv & VERSION_MASK, Ordering::Release);
-                }
+                publish(stm, owner, self.plan.iter().copied());
                 self.restore.clear();
                 stats.record_group_commit(self.active.len() as u64, coalesced);
                 if let Some(t) = &self.trace {

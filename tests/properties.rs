@@ -424,6 +424,94 @@ mod group_commit_equivalence {
     }
 }
 
+/// The same equivalence one layer up, through the executor: a group
+/// member's reply is its speculative one shifted by how far its group
+/// resolved its keys, and that must be the reply per-tx commit gives.
+/// Random single-shard request streams — repeated keys, `Rmw`s that
+/// revisit a key, absolute `Put`s among the increments, scans — land the
+/// same heap and the same reply to every writing request with group
+/// commit on and off, under either read path. (Read-only members
+/// serialize at the front of their group, a legal but different
+/// linearization, so their replies are not compared.)
+mod executor_group_equivalence {
+    use super::*;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const WORDS: u64 = 8;
+
+    fn request() -> impl Strategy<Value = Request> {
+        let keys = || prop::collection::vec(0..WORDS, 1..5);
+        prop_oneof![
+            (0..WORDS, 1u64..100).prop_map(|(k, d)| Request::Add(k, d)),
+            (0..WORDS, 1u64..100).prop_map(|(k, v)| Request::Put(k, v)),
+            (keys(), 1u64..10).prop_map(|(keys, delta)| Request::Rmw { keys, delta }),
+            (0..WORDS).prop_map(Request::Get),
+            (0..WORDS, 1u64..6).prop_map(|(start, len)| Request::GetRange { start, len }),
+            keys().prop_map(|keys| Request::GetMany { keys }),
+        ]
+    }
+
+    /// Serve `reqs` from one pre-filled, closed ring; the final heap and
+    /// every reply, in request order.
+    fn serve(
+        reqs: &[Request],
+        batch_max: usize,
+        group_commit: bool,
+        snapshot_reads: bool,
+    ) -> (Vec<u64>, Vec<Response>) {
+        let stm = Stm::new(WORDS as usize, 1);
+        let queue = Arc::new(ShardQueue::new(reqs.len()));
+        let cells: Vec<_> = reqs.iter().map(|_| Arc::new(ReplyCell::new())).collect();
+        for (req, cell) in reqs.iter().zip(&cells) {
+            let gen = cell.issue();
+            queue
+                .try_push(Envelope::new(req.clone(), Arc::clone(cell), gen))
+                .unwrap_or_else(|_| panic!("push"));
+        }
+        queue.close();
+        let cfg = ExecutorConfig {
+            shard: 0,
+            batch_max,
+            work_ns: 0,
+            stats_interval_ns: 0,
+            run_start: Instant::now(),
+            steal: false,
+            steal_min_depth: 0,
+            group_commit,
+            snapshot_reads,
+            trace: None,
+        };
+        let policy = NoDelay::requestor_aborts();
+        let stats = run_executor(&stm, policy, Xoshiro256StarStar::new(1), &[queue], &cfg);
+        assert_eq!(stats.commits, reqs.len() as u64);
+        (
+            stm.snapshot_direct(),
+            cells.iter().map(|c| c.take()).collect(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn group_executor_matches_per_tx_replies_and_heap(
+            reqs in prop::collection::vec(request(), 1..40),
+            batch_max in 2usize..17,
+        ) {
+            for snapshot_reads in [false, true] {
+                let (heap_g, resp_g) = serve(&reqs, batch_max, true, snapshot_reads);
+                let (heap_p, resp_p) = serve(&reqs, batch_max, false, snapshot_reads);
+                prop_assert_eq!(heap_g, heap_p);
+                for ((req, g), p) in reqs.iter().zip(&resp_g).zip(&resp_p) {
+                    prop_assert!(
+                        req.is_read_only() || g == p,
+                        "{req:?}: grouped {g:?}, per-tx {p:?} (snapshot_reads {snapshot_reads})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// MVCC snapshot reads must be atomic with respect to writer commits:
 /// with every writer transaction adding 1 to *all* of `K` cells, the heap
 /// sum is a multiple of `K` at every clock value — so any snapshot range
