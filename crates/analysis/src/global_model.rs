@@ -12,7 +12,8 @@
 
 use rand::RngCore;
 use tcp_core::competitive::corollary1_bound;
-use tcp_core::conflict::{conflict_cost, offline_opt, Conflict};
+use tcp_core::conflict::{conflict_cost, offline_opt};
+use tcp_core::engine::{ConflictArbiter, RegretTally};
 use tcp_core::policy::GracePolicy;
 use tcp_core::rng::{uniform01, Xoshiro256StarStar};
 use tcp_workloads::dist::LengthDist;
@@ -76,7 +77,8 @@ pub struct GlobalConfig<'a> {
     /// Expected number of conflicts inflicted per transaction.
     pub conflicts_per_txn: f64,
     /// Fixed cleanup component of the abort cost `B` (the elapsed running
-    /// time is added per conflict, per the paper's footnote 1).
+    /// time is added per conflict, per the paper's footnote 1). The
+    /// arbiter floors `B` at one time unit.
     pub cleanup: f64,
     /// Conflict chain length used for all conflicts.
     pub chain: usize,
@@ -109,10 +111,11 @@ pub fn run_global(
     policy: &dyn GracePolicy,
 ) -> GlobalReport {
     let mut rng = Xoshiro256StarStar::new(cfg.seed);
+    // Conflicts decouple (assumptions (a)–(c)): each is an isolated
+    // consultation, with no §7 backoff and no cap.
+    let arbiter = ConflictArbiter::new(policy).with_backoff(false);
+    let mut tally = RegretTally::default();
     let mut total_rho = 0.0;
-    let mut online = 0.0;
-    let mut opt = 0.0;
-    let mut conflicts = 0usize;
     let n_txns = cfg.threads * cfg.txns_per_thread;
     for _ in 0..n_txns {
         let len = cfg.lengths.sample(&mut rng).max(1e-6);
@@ -128,24 +131,26 @@ pub fn run_global(
             prod *= uniform01(&mut rng);
         }
         for _ in 0..n_conf {
-            conflicts += 1;
             let elapsed = adversary.strike(len, &mut rng);
             let d = (len - elapsed).max(1e-9);
-            let b = elapsed + cfg.cleanup;
-            let c = Conflict::chain(b.max(1e-6), cfg.chain);
-            let mode = policy.mode(&c);
-            let x = policy.grace(&c, &mut rng);
-            online += conflict_cost(mode, &c, d, x);
-            opt += offline_opt(mode, &c, d);
+            let decision = arbiter.sample(elapsed + cfg.cleanup, cfg.chain, &mut rng);
+            let (c, x) = (decision.conflict, decision.grace);
+            let mode = arbiter.mode(&c);
+            tally.record(
+                conflict_cost(mode, &c, d, x),
+                offline_opt(mode, &c, d),
+                d > x,
+            );
         }
     }
+    let (online, opt) = (tally.total_cost, tally.total_opt);
     let waste = opt / total_rho;
     let ratio = (total_rho + online) / (total_rho + opt);
     GlobalReport {
         total_rho,
         online_conflict_cost: online,
         opt_conflict_cost: opt,
-        conflicts,
+        conflicts: tally.trials as usize,
         waste,
         ratio,
         bound: corollary1_bound(waste),

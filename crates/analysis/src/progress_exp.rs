@@ -3,9 +3,9 @@
 //! abort-cost inflation it commits within
 //! `log y + log γ + log k − log B + 2` attempts with probability ≥ 1/2.
 
-use tcp_core::conflict::Conflict;
+use tcp_core::engine::ConflictArbiter;
 use tcp_core::policy::GracePolicy;
-use tcp_core::progress::{BackoffState, WithBackoff};
+use tcp_core::progress::BackoffState;
 use tcp_core::rng::Xoshiro256StarStar;
 
 /// Parameters of the repeated-conflict adversary.
@@ -33,21 +33,22 @@ pub struct ProgressReport {
     pub frac_within_bound: f64,
 }
 
-/// Run the experiment for a policy wrapped in multiplicative backoff.
+/// Run the experiment for `policy` under the engine's §7 backoff: each
+/// trial is one transaction with its own [`ConflictArbiter`], which
+/// doubles the reported abort cost on every abort.
 pub fn run_progress<P: GracePolicy>(
     cfg: &ProgressConfig,
     policy: P,
     trials: usize,
     seed: u64,
 ) -> ProgressReport {
-    let w = WithBackoff::new(policy);
     let mut rng = Xoshiro256StarStar::new(seed);
     let bound =
         BackoffState::corollary2_attempt_bound(cfg.y, cfg.gamma as f64, cfg.k, cfg.b).ceil();
     let mut attempts_out = Vec::with_capacity(trials);
     let mut within = 0usize;
     for _ in 0..trials {
-        let mut s = BackoffState::default();
+        let mut arbiter = ConflictArbiter::new(&policy);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -57,8 +58,7 @@ pub fn run_progress<P: GracePolicy>(
             let mut survived = true;
             for j in 0..cfg.gamma {
                 let remaining = cfg.y * (1.0 - j as f64 / cfg.gamma as f64);
-                let c = Conflict::chain(cfg.b, cfg.k);
-                if w.grace_with(&c, &s, &mut rng) < remaining {
+                if arbiter.decide(cfg.b, cfg.k, &mut rng).grace < remaining {
                     survived = false;
                     break;
                 }
@@ -66,7 +66,7 @@ pub fn run_progress<P: GracePolicy>(
             if survived || attempts >= cfg.max_attempts {
                 break;
             }
-            s.bump();
+            arbiter.on_abort();
         }
         if f64::from(attempts) <= bound {
             within += 1;

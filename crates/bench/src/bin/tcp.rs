@@ -202,7 +202,7 @@ fn cmd_game(f: &Flags) -> Result<(), String> {
     let b = checked(f, "b", 100.0, "finite and > 0", |b: f64| {
         b.is_finite() && b > 0.0
     })?;
-    let iters: usize = f.num("iters", 200_000)?;
+    let iters = checked(f, "iters", 200_000, ">= 1", |n: usize| n >= 1)?;
     let mode = make_mode(f.get("mode").unwrap_or("rw"))?;
     let formulation = if f.flag("paper-ra") {
         if mode != ResolutionMode::RequestorAborts {

@@ -122,21 +122,35 @@ pub const POLICY_NAMES: &[&str] = &[
     "hybrid",
 ];
 
-/// Build a policy from its CLI name. `mu` feeds the mean-aware variants;
-/// `delay` feeds `tuned`.
+/// `x`, or an error naming `--flag` unless it is finite and `ok`: a
+/// value the constructor it feeds would assert on.
+fn finite(flag: &str, x: f64, want: &str, ok: bool) -> Result<f64, String> {
+    if x.is_finite() && ok {
+        Ok(x)
+    } else {
+        Err(format!("--{flag}: must be finite and {want}, got {x}"))
+    }
+}
+
+/// Build a policy from its CLI name. `mu` (`--mu`) feeds the mean-aware
+/// variants; `delay` (`--delay`) feeds `tuned`.
 pub fn make_policy(name: &str, mu: f64, delay: f64) -> Result<Arc<dyn GracePolicy>, String> {
+    let mean = || finite("mu", mu, "> 0", mu > 0.0);
     Ok(match name {
         "no-delay" => Arc::new(NoDelay::requestor_wins()),
         "no-delay-ra" => Arc::new(NoDelay::requestor_aborts()),
-        "tuned" => Arc::new(HandTuned::new(ResolutionMode::RequestorWins, delay)),
+        "tuned" => {
+            let delay = finite("delay", delay, ">= 0", delay >= 0.0)?;
+            Arc::new(HandTuned::new(ResolutionMode::RequestorWins, delay))
+        }
         "det" => Arc::new(DetRw),
         "det-ra" => Arc::new(DetRa),
         "rand-rw" => Arc::new(RandRw),
         "rand-rw-uniform" => Arc::new(RandRwUniform),
         "rand-ra" => Arc::new(RandRa),
-        "rand-rw-mean" => Arc::new(RandRwMean::new(mu)),
-        "rand-ra-mean" => Arc::new(RandRaMean::new(mu)),
-        "hybrid" => Arc::new(Hybrid::new(Some(mu))),
+        "rand-rw-mean" => Arc::new(RandRwMean::new(mean()?)),
+        "rand-ra-mean" => Arc::new(RandRaMean::new(mean()?)),
+        "hybrid" => Arc::new(Hybrid::new(Some(mean()?))),
         other => {
             return Err(format!(
                 "unknown policy '{other}'; one of: {}",
@@ -149,7 +163,7 @@ pub fn make_policy(name: &str, mu: f64, delay: f64) -> Result<Arc<dyn GracePolic
 /// Known workload names.
 pub const WORKLOAD_NAMES: &[&str] = &["stack", "queue", "txapp", "bimodal", "list", "txapp-skewed"];
 
-/// Build a simulator workload from its CLI name. `skew` feeds
+/// Build a simulator workload from its CLI name. `skew` (`--skew`) feeds
 /// `txapp-skewed`.
 pub fn make_workload(name: &str, skew: f64) -> Result<Arc<dyn WorkloadGen>, String> {
     Ok(match name {
@@ -158,7 +172,10 @@ pub fn make_workload(name: &str, skew: f64) -> Result<Arc<dyn WorkloadGen>, Stri
         "txapp" => Arc::new(TxAppWorkload::default()),
         "bimodal" => Arc::new(BimodalWorkload::default()),
         "list" => Arc::new(ListWorkload::default()),
-        "txapp-skewed" => Arc::new(SkewedTxAppWorkload::new(64, skew)),
+        "txapp-skewed" => {
+            let theta = finite("skew", skew, ">= 0", skew >= 0.0)?;
+            Arc::new(SkewedTxAppWorkload::new(64, theta))
+        }
         other => {
             return Err(format!(
                 "unknown workload '{other}'; one of: {}",

@@ -3,10 +3,13 @@
 //! `tcp <name> [--quick]` (the serving rows also take `--trace <path>`).
 //! An entry prints TSV to stdout, `#` banner first, and asserts its claim
 //! where the claim is a bound. Single-conflict entries go through the one
-//! kernel, `run_synthetic` (directly or via `tcp_analysis`); simulator
-//! entries draw their policies from `figure3_arms`, and the ablations run
-//! each cell through [`sim_cell`]. The serving rows live in
-//! [`crate::cell`].
+//! kernel, `run_synthetic` (directly or via `tcp_analysis`), and the
+//! Corollary 1 and 2 entries through `run_global` / `run_progress`. All
+//! three consult through the engine's `ConflictArbiter`; the first two
+//! sum cost against the optimum in its `RegretTally`. Simulator entries
+//! — the Figure 3 panels and the ablations alike — draw their policies
+//! from `figure3_arms` and run each cell through [`sim_cell`]. The
+//! serving rows live in [`crate::cell`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,11 +24,10 @@ use tcp_analysis::worst_case::{abort_probability_ra, abort_probability_rw, DENSI
 use tcp_core::competitive::{rand_ra_mean_ratio, rand_ra_ratio, rand_rw_mean_ratio, rand_rw_ratio};
 use tcp_core::conflict::{Conflict, ResolutionMode};
 use tcp_core::engine::ShardedStats;
-use tcp_core::policy::{DetRa, DetRw, GracePolicy, NoDelay};
+use tcp_core::policy::{DetRa, DetRw, GracePolicy, HandTuned, NoDelay};
 use tcp_core::randomized::{Hybrid, RandRa, RandRaMean, RandRw, RandRwMean, RandRwUniform};
 use tcp_htm_sim::config::SimConfig;
 use tcp_htm_sim::sim::Simulator;
-use tcp_htm_sim::sweep::{figure3_arms, sweep_threads, Arm};
 use tcp_stm::throughput::{stack_throughput, txapp_throughput, Throughput};
 use tcp_workloads::dist::{figure2_distributions, Exponential};
 use tcp_workloads::programs::{SkewedTxAppWorkload, StackWorkload, WorkloadGen};
@@ -121,8 +123,28 @@ pub fn sim_cell(
     std::mem::take(&mut sim.stats)
 }
 
-/// The Figure 3 arms labelled `labels`, in that order: the one policy list
+/// A named strategy arm of Figure 3.
+struct Arm {
+    label: &'static str,
+    policy: Arc<dyn GracePolicy>,
+}
+
+/// The paper's four experimental arms (§8.2): no delays, hand-tuned fixed
+/// delay (knows the profiled mean body length), the deterministic optimal
+/// strategy, and the randomized optimal strategy — the one policy list
 /// every simulator table draws from.
+fn figure3_arms(workload: &dyn WorkloadGen) -> Vec<Arm> {
+    let arm = |label, policy| Arm { label, policy };
+    let tuned = HandTuned::new(ResolutionMode::RequestorWins, workload.tuned_delay());
+    vec![
+        arm("NO_DELAY", Arc::new(NoDelay::requestor_wins())),
+        arm("DELAY_TUNED", Arc::new(tuned)),
+        arm("DELAY_DET", Arc::new(DetRw)),
+        arm("DELAY_RAND", Arc::new(RandRw)),
+    ]
+}
+
+/// The Figure 3 arms labelled `labels`, in that order.
 fn arms(workload: &dyn WorkloadGen, labels: &[&str]) -> Vec<Arm> {
     let mut arms = figure3_arms(workload);
     arms.retain(|a| labels.contains(&a.label));
@@ -228,9 +250,14 @@ fn figure3_panel(f: &Flags, workload: &str) {
     cols.extend(THREADS.iter().map(|t| t.to_string()));
     header(&cols.iter().map(String::as_str).collect::<Vec<_>>());
     for arm in figure3_arms(workload.as_ref()) {
-        let pts = sweep_threads(Arc::clone(&workload), arm.policy, THREADS, horizon, 1.0, 42);
         let mut cells = vec![arm.label.to_string()];
-        cells.extend(pts.iter().map(|p| num(p.ops_per_sec)));
+        for &t in THREADS {
+            let policy = Arc::clone(&arm.policy);
+            let s = sim_cell(t, policy, Arc::clone(&workload), horizon, |cfg| {
+                cfg.seed = 42 ^ ((t as u64) << 32)
+            });
+            cells.push(num(s.ops_per_second(1.0)));
+        }
         row(&cells);
     }
 }
@@ -647,5 +674,20 @@ fn stm_throughput(f: &Flags) {
         );
         print("txapp64", "RRA", txapp_throughput(RandRa, t, 64, dur, 5));
         print("txapp64", "RRW", txapp_throughput(RandRw, t, 64, dur, 6));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure3_arms_are_the_paper_arms() {
+        let arms = figure3_arms(&StackWorkload::default());
+        let labels: Vec<_> = arms.iter().map(|a| a.label).collect();
+        assert_eq!(
+            labels,
+            ["NO_DELAY", "DELAY_TUNED", "DELAY_DET", "DELAY_RAND"]
+        );
     }
 }

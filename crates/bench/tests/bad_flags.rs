@@ -56,6 +56,19 @@ fn out_of_range_numbers_are_refused_naming_the_flag() {
     rejects("game --b 0", "--b: must be finite and > 0, got 0");
     rejects("synthetic --b 0", "--b: must be finite and >= 1, got 0");
     rejects("synthetic --trials 0", "--trials: must be >= 1, got 0");
+    rejects("game --iters 0", "--iters: must be >= 1, got 0");
+    for policy in ["rand-rw-mean", "rand-ra-mean", "hybrid"] {
+        let err = "--mu: must be finite and > 0, got 0";
+        rejects(&format!("sim --policy {policy} --mu 0"), err);
+    }
+    for (delay, shown) in [("-5", "-5"), ("nan", "NaN")] {
+        let err = format!("--delay: must be finite and >= 0, got {shown}");
+        rejects(&format!("sim --policy tuned --delay {delay}"), &err);
+    }
+    for (skew, shown) in [("-1", "-1"), ("nan", "NaN")] {
+        let err = format!("--skew: must be finite and >= 0, got {shown}");
+        rejects(&format!("sim --workload txapp-skewed --skew {skew}"), &err);
+    }
 }
 
 #[test]

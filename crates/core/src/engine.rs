@@ -1,10 +1,11 @@
 //! The shared conflict-resolution engine layer.
 //!
-//! All three execution substrates of this workspace — the TL2-style STM
-//! (`tcp-stm`), the discrete-event HTM simulator (`tcp-htm-sim`), and the
-//! single-conflict Monte-Carlo kernel (`run_synthetic` in `tcp-workloads`,
-//! which is also ski rental, §4.2) — face the same three chores around
-//! every conflict:
+//! The execution substrates of this workspace — the TL2-style STM
+//! (`tcp-stm`), the discrete-event HTM simulator (`tcp-htm-sim`) — and the
+//! offline kernels — the single-conflict Monte-Carlo kernel
+//! (`run_synthetic` in `tcp-workloads`, which is also ski rental, §4.2)
+//! and the Corollary 1 and 2 kernels (`run_global`, `run_progress` in
+//! `tcp-analysis`) — face the same three chores around every conflict:
 //!
 //! 1. **consult** the configured [`GracePolicy`] with a well-formed
 //!    [`Conflict`] (abort cost inflated by §7 backoff, chain length
@@ -16,11 +17,12 @@
 //! 3. **fan out** deterministic per-thread random streams from one master
 //!    seed.
 //!
-//! Before this module each substrate reimplemented all three. Now
 //! [`ConflictArbiter`] owns the consultation loop and per-transaction
-//! [`BackoffState`], [`EngineStats`] is the one mergeable tally (with
-//! [`ShardedStats`] for per-thread sharding plus run-global counters), and
-//! [`SeedFanout`] hands out independent [`Xoshiro256StarStar`] substreams.
+//! [`BackoffState`] for all of them. [`EngineStats`] is the one mergeable
+//! tally of what ran (with [`ShardedStats`] for per-thread sharding plus
+//! run-global counters), [`RegretTally`] the one tally of what it cost
+//! against the offline optimum, and [`SeedFanout`] hands out independent
+//! [`Xoshiro256StarStar`] substreams.
 
 use rand::RngCore;
 
@@ -53,9 +55,10 @@ pub enum AbortKind {
 /// The unified, mergeable statistics tally of the engine layer.
 ///
 /// One `EngineStats` describes one shard of work: a thread's transactions
-/// (STM), a simulated core's (HTM sim), or a batch of Monte-Carlo trials
-/// (ski rental / synthetic). Shards [`merge`](Self::merge) into aggregate
-/// views; [`ShardedStats`] packages the common per-thread layout.
+/// (STM, server), or a simulated core's (HTM sim). Shards
+/// [`merge`](Self::merge) into aggregate views; [`ShardedStats`] packages
+/// the common per-thread layout. Cost against the offline optimum is
+/// [`RegretTally`]'s job.
 ///
 /// Time-like counters (`wait_cycles`, `wasted_cycles`, `total_latency`,
 /// `cycles`) are unit-agnostic: the STM records nanoseconds, the simulator
@@ -63,8 +66,7 @@ pub enum AbortKind {
 /// the same substrate.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
-    /// Committed transactions (or, for cost-model substrates, resolved
-    /// conflicts).
+    /// Committed transactions.
     pub commits: u64,
     /// Aborted attempts, all causes together.
     pub aborts: u64,
@@ -172,14 +174,6 @@ pub struct EngineStats {
     /// commits with `elapsed ∈ [i·interval_ns, (i+1)·interval_ns)`). Merging
     /// adds element-wise, padding the shorter run.
     pub interval_commits: Vec<u64>,
-    /// Monte-Carlo trials accounted in the cost accumulators below.
-    pub trials: u64,
-    /// Total online cost across trials (cost-model substrates).
-    pub total_cost: f64,
-    /// Total offline-optimal cost across trials.
-    pub total_opt: f64,
-    /// Sum of per-trial cost/OPT ratios.
-    pub total_ratio: f64,
 }
 
 impl EngineStats {
@@ -236,10 +230,6 @@ impl EngineStats {
         {
             *a += b;
         }
-        self.trials += other.trials;
-        self.total_cost += other.total_cost;
-        self.total_opt += other.total_opt;
-        self.total_ratio += other.total_ratio;
     }
 
     /// Record one abort of the given kind, discarding `wasted` time units
@@ -259,14 +249,6 @@ impl EngineStats {
     /// Record an observed conflict chain of length `k`.
     pub fn record_chain(&mut self, k: usize) {
         self.chain_hist[k.min(CHAIN_HIST_LEN - 1)] += 1;
-    }
-
-    /// Record one Monte-Carlo trial: online cost vs the offline optimum.
-    pub fn record_trial(&mut self, cost: f64, opt: f64) {
-        self.trials += 1;
-        self.total_cost += cost;
-        self.total_opt += opt;
-        self.total_ratio += cost / opt;
     }
 
     /// Committed transactions per time unit.
@@ -291,32 +273,6 @@ impl EngineStats {
         } else {
             self.aborts as f64 / self.commits as f64
         }
-    }
-
-    /// Fraction of Monte-Carlo trials that ended in an abort (grace expired
-    /// before the receiver committed / the skis were bought).
-    pub fn abort_rate(&self) -> f64 {
-        self.aborts as f64 / self.trials as f64
-    }
-
-    /// Mean online cost per trial.
-    pub fn mean_cost(&self) -> f64 {
-        self.total_cost / self.trials as f64
-    }
-
-    /// Mean offline-optimal cost per trial.
-    pub fn mean_opt(&self) -> f64 {
-        self.total_opt / self.trials as f64
-    }
-
-    /// Ratio of means `E[cost]/E[OPT]` — the throughput-style metric.
-    pub fn cost_ratio(&self) -> f64 {
-        self.total_cost / self.total_opt
-    }
-
-    /// Mean of per-trial ratios `E[cost/OPT]` — the per-instance metric.
-    pub fn mean_ratio(&self) -> f64 {
-        self.total_ratio / self.trials as f64
     }
 
     /// Record one commit latency (streaming: O(1), no sample kept).
@@ -491,6 +447,65 @@ impl ShardedStats {
             h.merge(&t.queue_wait_hist);
         }
         h.percentile(p)
+    }
+}
+
+/// Online cost against the offline optimum, summed over conflicts — the
+/// quantity of §4, and of Corollary 1 (§6) once summed over a run.
+///
+/// The offline kernels record one entry per conflict they resolve:
+/// `run_synthetic` per Monte-Carlo trial (Figure 2, the theorem checks, ski
+/// rental), `run_global` per conflict of the §6 model. Tallies of one
+/// kernel [`merge`](Self::merge) like [`EngineStats`] shards.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RegretTally {
+    /// Conflicts recorded.
+    pub trials: u64,
+    /// Recorded conflicts whose grace expired before the receiver
+    /// committed (the skis were bought).
+    pub aborts: u64,
+    /// Σ online cost.
+    pub total_cost: f64,
+    /// Σ offline-optimal cost.
+    pub total_opt: f64,
+}
+
+impl RegretTally {
+    /// Record one conflict: online `cost` against the optimum `opt`, and
+    /// whether it ended in an abort.
+    pub fn record(&mut self, cost: f64, opt: f64, aborted: bool) {
+        self.trials += 1;
+        self.aborts += u64::from(aborted);
+        self.total_cost += cost;
+        self.total_opt += opt;
+    }
+
+    /// Fold another tally into this one.
+    pub fn merge(&mut self, other: &RegretTally) {
+        self.trials += other.trials;
+        self.aborts += other.aborts;
+        self.total_cost += other.total_cost;
+        self.total_opt += other.total_opt;
+    }
+
+    /// Mean online cost per conflict.
+    pub fn mean_cost(&self) -> f64 {
+        self.total_cost / self.trials as f64
+    }
+
+    /// Mean offline-optimal cost per conflict.
+    pub fn mean_opt(&self) -> f64 {
+        self.total_opt / self.trials as f64
+    }
+
+    /// Ratio of means `E[cost]/E[OPT]` — the throughput-style metric.
+    pub fn cost_ratio(&self) -> f64 {
+        self.total_cost / self.total_opt
+    }
+
+    /// Fraction of conflicts that ended in an abort.
+    pub fn abort_rate(&self) -> f64 {
+        self.aborts as f64 / self.trials as f64
     }
 }
 
@@ -844,14 +859,19 @@ mod tests {
 
     #[test]
     fn trial_accounting_matches_rental_semantics() {
-        let mut s = EngineStats::default();
-        s.record_trial(150.0, 100.0);
-        s.record_trial(90.0, 100.0);
-        assert_eq!(s.trials, 2);
+        let mut s = RegretTally::default();
+        s.record(150.0, 100.0, true);
+        s.record(90.0, 100.0, false);
+        assert_eq!((s.trials, s.aborts), (2, 1));
         assert!((s.mean_cost() - 120.0).abs() < 1e-12);
         assert!((s.mean_opt() - 100.0).abs() < 1e-12);
         assert!((s.cost_ratio() - 1.2).abs() < 1e-12);
-        assert!((s.mean_ratio() - 1.2).abs() < 1e-12);
+        assert!((s.abort_rate() - 0.5).abs() < 1e-12);
+        let mut merged = RegretTally::default();
+        merged.merge(&s);
+        merged.merge(&s);
+        assert_eq!((merged.trials, merged.aborts), (4, 2));
+        assert_eq!(merged.cost_ratio(), s.cost_ratio());
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use crate::discrete::{DiscreteKarlin, DiscreteRandRa, DiscreteRandRw};
     pub use crate::engine::{
-        AbortKind, ConflictArbiter, EngineStats, GraceDecision, QueueWaitEstimator, SeedFanout,
-        ShardedStats,
+        AbortKind, ConflictArbiter, EngineStats, GraceDecision, QueueWaitEstimator, RegretTally,
+        SeedFanout, ShardedStats,
     };
     pub use crate::hist::LatencyHistogram;
     pub use crate::pad::CachePadded;
@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crate::policy::{DetRa, DetRw, GracePolicy, HandTuned, NoDelay};
     pub use crate::profiler::{AdaptiveMean, MeanProfiler};
-    pub use crate::progress::{BackoffState, WithBackoff};
+    pub use crate::progress::BackoffState;
     pub use crate::randomized::{Hybrid, RandRa, RandRaMean, RandRw, RandRwMean, RandRwUniform};
     pub use crate::rng::{uniform01, uniform_in, uniform_u64_below, Xoshiro256StarStar};
     pub use crate::smallset::{InlineVec, KeyFilter};

@@ -8,16 +8,12 @@
 //! running time `y` that suffers `γ` conflicts commits within
 //! `log y + log γ + log k − log B + 2` attempts with probability ≥ 1/2.
 
-use rand::RngCore;
-
-use crate::conflict::{Conflict, ResolutionMode};
-use crate::policy::GracePolicy;
-
 /// Per-transaction abort-cost inflation state.
 ///
-/// Keep one `BackoffState` per live transaction; call [`BackoffState::bump`]
-/// on abort and [`BackoffState::reset`] on commit, and pass
-/// [`BackoffState::effective_cost`] into the conflict handed to the policy.
+/// [`ConflictArbiter`](crate::engine::ConflictArbiter) keeps one per
+/// thread: its `on_abort` calls [`bump`](Self::bump), its `on_commit`
+/// calls [`reset`](Self::reset), and its `decide` consults the policy with
+/// the [`effective_cost`](Self::effective_cost).
 #[derive(Clone, Copy, Debug)]
 pub struct BackoffState {
     /// Number of aborts this transaction has suffered since its last commit.
@@ -75,36 +71,10 @@ impl BackoffState {
     }
 }
 
-/// A policy wrapper that consults an inner policy with the inflated abort
-/// cost. The caller owns the [`BackoffState`] (it is per-transaction, while
-/// policies are shared), and passes it explicitly.
-#[derive(Clone, Copy, Debug)]
-pub struct WithBackoff<P> {
-    pub inner: P,
-}
-
-impl<P: GracePolicy> WithBackoff<P> {
-    pub fn new(inner: P) -> Self {
-        Self { inner }
-    }
-
-    /// Grace period for a conflict whose victim has backoff state `s`.
-    pub fn grace_with(&self, c: &Conflict, s: &BackoffState, rng: &mut dyn RngCore) -> f64 {
-        let inflated = Conflict {
-            abort_cost: s.effective_cost(c.abort_cost),
-            ..*c
-        };
-        self.inner.grace(&inflated, rng)
-    }
-
-    pub fn mode(&self, c: &Conflict) -> ResolutionMode {
-        self.inner.mode(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ConflictArbiter;
     use crate::randomized::RandRw;
     use crate::rng::Xoshiro256StarStar;
 
@@ -133,16 +103,17 @@ mod tests {
     fn backoff_widens_grace_distribution() {
         // After inflation the sampled grace periods should grow with the
         // effective cost (support is [0, B_eff/(k-1)]).
-        let w = WithBackoff::new(RandRw);
-        let c = Conflict::pair(100.0);
         let mut rng = Xoshiro256StarStar::new(1);
         let mut mean_at = |attempts: u32| {
-            let s = BackoffState {
-                attempts,
-                ..BackoffState::default()
-            };
+            let mut arb = ConflictArbiter::new(RandRw);
+            for _ in 0..attempts {
+                arb.on_abort();
+            }
             let n = 20_000;
-            (0..n).map(|_| w.grace_with(&c, &s, &mut rng)).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| arb.decide(100.0, 2, &mut rng).grace)
+                .sum::<f64>()
+                / n as f64
         };
         let m0 = mean_at(0);
         let m3 = mean_at(3);
@@ -163,51 +134,5 @@ mod tests {
             (b1 - b3 - 1.0).abs() < 1e-9,
             "doubling B removes one attempt"
         );
-    }
-
-    #[test]
-    fn corollary2_probabilistic_guarantee_empirically() {
-        // A transaction of length y repeatedly conflicts (as receiver, RW
-        // mode, k=2). Each time, it survives iff the sampled grace period
-        // exceeds its remaining time. With doubling, it should commit within
-        // the Corollary 2 bound at least half the time.
-        let y = 200.0;
-        let gamma = 4.0; // conflicts per execution attempt
-        let b0 = 50.0;
-        let k = 2;
-        let bound = BackoffState::corollary2_attempt_bound(y, gamma, k, b0).ceil() as u32 + 1;
-        let mut rng = Xoshiro256StarStar::new(42);
-        let trials = 2_000;
-        let mut committed_within_bound = 0;
-        let w = WithBackoff::new(RandRw);
-        for _ in 0..trials {
-            let mut s = BackoffState::default();
-            let mut attempts = 0u32;
-            loop {
-                attempts += 1;
-                // γ conflicts spread over this execution; survive them all.
-                let mut survived = true;
-                for g in 0..gamma as usize {
-                    let remaining = y * (1.0 - g as f64 / gamma);
-                    let c = Conflict::chain(b0, k);
-                    if w.grace_with(&c, &s, &mut rng) < remaining {
-                        survived = false;
-                        break;
-                    }
-                }
-                if survived {
-                    break;
-                }
-                s.bump();
-                if attempts > 200 {
-                    break;
-                }
-            }
-            if attempts <= bound {
-                committed_within_bound += 1;
-            }
-        }
-        let frac = committed_within_bound as f64 / trials as f64;
-        assert!(frac >= 0.5, "Corollary 2 guarantee violated: {frac} < 0.5");
     }
 }

@@ -140,7 +140,25 @@ impl SeedableRng for Xoshiro256StarStar {
 #[inline]
 pub fn uniform01<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     // Take the top 53 bits: xoshiro's low bits are its weakest.
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_from_53_bits(rng.next_u64() >> 11)
+}
+
+/// `n / 2^53` for `n < 2^53`, bit for bit what `n as f64 / 2^53` gives,
+/// assembled from bits instead. The SSE2 integer conversion (`cvtsi2sd`)
+/// writes only the low half of its register, so in a sampler that
+/// converts first thing it waits on whatever float the caller last left
+/// there; in a sampling loop that is the previous iteration's result, and
+/// the iterations stop overlapping (`run_synthetic` measured 1.5–2x
+/// slower on a Sapphire Rapids core when its loop left its running cost
+/// sum in that register).
+#[inline]
+fn unit_from_53_bits(n: u64) -> f64 {
+    const TWO_52_BITS: u64 = 0x4330_0000_0000_0000;
+    // n mod 2^52, exactly: 2^52 + m has m as its mantissa.
+    let low = f64::from_bits(TWO_52_BITS | (n & ((1 << 52) - 1))) - (1u64 << 52) as f64;
+    // Bit 52 of n, as 0.0 or 2^52.
+    let high = f64::from_bits((n >> 52) * TWO_52_BITS);
+    (low + high) * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Draw a uniform `f64` in `[lo, hi)`.
@@ -168,6 +186,29 @@ pub fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unit_from_bits_equals_the_plain_conversion() {
+        let plain = |n: u64| n as f64 * (1.0 / (1u64 << 53) as f64);
+        let edges = [
+            0,
+            1,
+            2,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 52) + 1,
+            (1 << 53) - 1,
+        ];
+        let mut rng = Xoshiro256StarStar::new(5);
+        let draws = (0..100_000).map(|_| rng.next_u64() >> 11);
+        for n in edges.into_iter().chain(draws) {
+            assert_eq!(
+                unit_from_53_bits(n).to_bits(),
+                plain(n).to_bits(),
+                "n = {n}"
+            );
+        }
+    }
 
     #[test]
     fn deterministic_under_seed() {

@@ -72,10 +72,6 @@ pub struct SimConfig {
     pub horizon: u64,
     /// Master seed; each core receives an independent substream.
     pub seed: u64,
-    /// Emit a line per simulator event to stderr (debugging aid).
-    pub trace: bool,
-    /// Record per-transaction commit latencies (for percentile reporting).
-    pub record_latencies: bool,
     /// Optional tiled-NoC latency model (Graphite-style mesh): when set,
     /// directory and forwarding latencies scale with Manhattan hop
     /// distance instead of the flat `latencies.l2`/`latencies.remote`.
@@ -106,8 +102,6 @@ impl SimConfig {
             grace_cap_factor: 64.0,
             horizon: 1_000_000,
             seed: 0xC0FFEE,
-            trace: false,
-            record_latencies: true,
             mesh: None,
             profiler: None,
         };

@@ -42,12 +42,10 @@ pub mod config;
 pub mod mem;
 pub mod noc;
 pub mod sim;
-pub mod sweep;
 
 pub mod prelude {
     pub use crate::config::{Latencies, SimConfig};
     pub use crate::noc::Mesh;
     pub use crate::sim::Simulator;
-    pub use crate::sweep::{figure3_arms, sweep_threads, Arm, SweepPoint};
     pub use tcp_core::engine::{AbortKind, EngineStats, ShardedStats};
 }

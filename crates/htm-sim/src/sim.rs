@@ -279,14 +279,7 @@ impl Simulator {
         self.schedule_step(c, at);
     }
 
-    fn trace(&self, msg: impl FnOnce() -> String) {
-        if self.cfg.trace {
-            eprintln!("[{:>8}] {}", self.now, msg());
-        }
-    }
-
     fn commit(&mut self, c: usize) {
-        self.trace(|| format!("core {c} COMMIT"));
         self.caches[c].commit_txn();
         let latency = self.now - self.cores[c].first_start;
         // Fast-path length = attempt duration minus time parked behind
@@ -296,9 +289,7 @@ impl Simulator {
         let stats = &mut self.stats.per_thread[c];
         stats.commits += 1;
         stats.total_latency += latency;
-        if self.cfg.record_latencies {
-            self.stats.global.record_latency(latency);
-        }
+        self.stats.global.record_latency(latency);
         if let Some(p) = &self.cfg.profiler {
             // The successful attempt's duration — the "fast-path length"
             // a profiler would report.
@@ -310,7 +301,6 @@ impl Simulator {
     }
 
     fn abort_core(&mut self, v: usize, cause: AbortKind) {
-        self.trace(|| format!("core {v} ABORT {cause:?}"));
         let wasted = self.now.saturating_sub(self.cores[v].attempt_start);
         self.stats.record_abort(v, cause, wasted);
         self.dir.purge(v, self.caches[v].txn_lines());
@@ -491,12 +481,6 @@ impl Simulator {
             return;
         }
         // Delayed resolution: park the request and arm the deadline.
-        self.trace(|| {
-            format!(
-                "core {c} PARK line={:#x} write={write} victim={primary} grace={grace} k={k}",
-                self.lines.addr(line)
-            )
-        });
         self.stats.global.delayed_conflicts += 1;
         let id = match self.pending.iter().position(Option::is_none) {
             Some(i) => i,
@@ -625,14 +609,6 @@ impl Simulator {
         if req.deadline != seq {
             return;
         }
-        self.trace(|| {
-            format!(
-                "DEADLINE req{id} line={:#x} requestor={} victim={}",
-                self.lines.addr(req.line),
-                req.requestor,
-                req.victim
-            )
-        });
         match self.cfg.mode {
             ResolutionMode::RequestorWins => {
                 // The grace period was armed against a specific receiver. If
@@ -732,13 +708,6 @@ impl Simulator {
         let Some(req) = self.pending[id].take() else {
             return;
         };
-        self.trace(|| {
-            format!(
-                "GRANT req{id} line={:#x} to core {} (by_commit={by_commit})",
-                self.lines.addr(req.line),
-                req.requestor
-            )
-        });
         let r = req.requestor;
         self.cores[r].waiting_req = None;
         self.set_waiting_on(r, None);
@@ -829,6 +798,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use tcp_core::policy::{DetRw, HandTuned, NoDelay};
+    use tcp_core::profiler::{AdaptiveMean, MeanProfiler};
     use tcp_core::randomized::{RandRa, RandRw};
     use tcp_workloads::programs::{ListWorkload, QueueWorkload, StackWorkload, TxAppWorkload};
 
@@ -1058,6 +1028,51 @@ mod tests {
         let avg = s.merged().total_latency as f64 / s.commits() as f64;
         assert!(avg >= StackWorkload::default().mean_body_cycles());
         assert!(avg < 100_000.0, "implausible avg latency {avg}");
+    }
+
+    #[test]
+    fn single_thread_throughput_is_highest_per_thread() {
+        let per_thread = |cores: usize| {
+            let nd = Arc::new(NoDelay::requestor_wins());
+            let s = run_with(cores, nd, ResolutionMode::RequestorWins, 200_000);
+            s.ops_per_second(1.0) / cores as f64
+        };
+        assert!(
+            per_thread(8) < per_thread(1),
+            "contention must reduce per-thread throughput"
+        );
+    }
+
+    #[test]
+    fn adaptive_arm_profiles_and_performs() {
+        // The profiler-driven policy closes its loop through the simulator:
+        // one MeanProfiler handle on the config, fed each commit's
+        // fast-path length, and in the policy, read at each conflict.
+        let run = |policy: Arc<dyn GracePolicy>, profiler| {
+            let mut cfg = SimConfig::new(8, policy);
+            cfg.horizon = 400_000;
+            cfg.seed = 7;
+            cfg.profiler = profiler;
+            let mut sim = Simulator::new(cfg, Arc::new(StackWorkload::default()));
+            sim.run().ops_per_second(1.0)
+        };
+        let profiler = MeanProfiler::shared();
+        let adaptive = AdaptiveMean::requestor_wins(Arc::clone(&profiler));
+        let adaptive = run(Arc::new(adaptive), Some(Arc::clone(&profiler)));
+        // The profiler saw the commits...
+        assert!(profiler.samples() > 100);
+        let mu = profiler.mean().unwrap();
+        assert!(mu > 10.0 && mu < 10_000.0, "profiled mean {mu}");
+        // ...and the adaptive arm stays within 2x of the tuned arm.
+        let delay = StackWorkload::default().tuned_delay();
+        let tuned = run(
+            Arc::new(HandTuned::new(ResolutionMode::RequestorWins, delay)),
+            None,
+        );
+        assert!(
+            adaptive > tuned / 2.0,
+            "adaptive {adaptive} vs tuned {tuned}"
+        );
     }
 
     // -- configuration is validated where it is used -------------------------

@@ -7,9 +7,12 @@
 //! The digest is FNV-1a over the `Debug` rendering of the whole
 //! [`ShardedStats`]: every field of every per-core and the global
 //! `EngineStats`, histogram buckets included (both types derive `Debug`
-//! over all their fields). Adding a field to `EngineStats` re-pins the
-//! table: run with `GOLDEN_PRINT=1 cargo test -p tcp-htm-sim --test golden
-//! -- --nocapture` and paste the printed rows.
+//! over all their fields). Adding or removing a field of `EngineStats`
+//! re-pins the table: run with `GOLDEN_PRINT=1 cargo test -p tcp-htm-sim
+//! --test golden -- --nocapture` and paste the printed rows. The table was
+//! re-pinned once so, when the four cost-vs-OPT fields (always zero here)
+//! moved out into `RegretTally`; every other entry of the rendering was
+//! checked unchanged.
 //!
 //! Only names that exist on both sides are used: `SimConfig::new` and its
 //! public fields, `Simulator::{new, run, check_coherence, stats}`, the
@@ -99,13 +102,13 @@ fn sim_repro_six_configurations_two_seeds() {
     #[rustfmt::skip]
     let pinned: [(&str, u64, [u64; 6]); 2] = [
         ("seed42", 42, [
-            0x8f45700ee99c0799, 0x58915ccd74965df3, 0x654305b6630462da,
-            0xb1879b5e790dc61e, 0x4ec73537345d1c15, 0xb6ff7dd300514194,
+            0xaecefc43d6b3a47c, 0x965a0bd083a849d8, 0xe52b52568441314d,
+            0x4f43286e9bc4be45, 0x97bd9a74442de2d6, 0x76ab8157d9feab4f,
         ]),
         // stack/det_rw never aborts, so it draws nothing: same digest as above.
         ("seed7", 7, [
-            0x2d348165ac4f0e9c, 0x58915ccd74965df3, 0x8e86799a221a5c98,
-            0x51fc277106d0d01d, 0xf0da02f6dc91743d, 0x7a3c51137d41f0a3,
+            0x72a1a537dc3eeb05, 0x965a0bd083a849d8, 0x091605d79946a63f,
+            0x5b932f4ca9c89652, 0x20a762d3f68b2624, 0x11b6e8f16036596a,
         ]),
     ];
     for (label, seed, digests) in pinned {
@@ -134,7 +137,7 @@ fn requestor_aborts_with_rand_ra() {
     cfg.seed = 42;
     let stats = run(cfg, stack());
     assert!(stats.commits() > 500);
-    pin("rand_ra/stack", &stats, 0xa2935e1b49bda1aa);
+    pin("rand_ra/stack", &stats, 0x55425af44bbaaa51);
 }
 
 #[test]
@@ -146,7 +149,7 @@ fn chain_aware_sampling_on_sixteen_cores() {
     let stats = run(cfg, stack());
     let long_chains: u64 = stats.global.chain_hist[3..].iter().sum();
     assert!(long_chains > 0, "chain-aware arm never saw k > 2");
-    pin("chain_aware/stack16", &stats, 0x513bfdd3d69c1d9e);
+    pin("chain_aware/stack16", &stats, 0x7f008ed9a022e65b);
 }
 
 #[test]
@@ -160,7 +163,7 @@ fn long_fixed_delays_form_chains() {
     let stats = run(cfg, stack());
     let long_chains: u64 = stats.global.chain_hist[3..].iter().sum();
     assert!(long_chains > 0);
-    pin("hand_tuned/stack16", &stats, 0xee6487acc5fdef54);
+    pin("hand_tuned/stack16", &stats, 0xe992b37f93976a83);
 }
 
 #[test]
@@ -171,7 +174,7 @@ fn mesh_latency_model() {
     cfg.seed = 42;
     let stats = run(cfg, txapp());
     assert!(stats.commits() > 0);
-    pin("mesh/txapp16", &stats, 0x1e7e257aa8bda720);
+    pin("mesh/txapp16", &stats, 0xfae0e783828aa67f);
 }
 
 #[test]
@@ -183,7 +186,7 @@ fn read_sharing_with_many_victims() {
     cfg.seed = 42;
     let stats = run(cfg, Arc::new(ListWorkload::default()));
     assert!(stats.commits() > 0 && stats.aborts() > 0);
-    pin("list/det_rw", &stats, 0xedfdecb1537c5991);
+    pin("list/det_rw", &stats, 0xeaf141ffde81233e);
 }
 
 #[test]
@@ -206,7 +209,7 @@ fn small_cache_evicts_on_txapp() {
         digest(&roomy),
         "no eviction changed anything"
     );
-    pin("l1_capacity3/txapp", &stats, 0x6cb060e4065b74d2);
+    pin("l1_capacity3/txapp", &stats, 0x1ff4a14cd7341cad);
 }
 
 #[test]
@@ -253,7 +256,7 @@ fn small_cache_evicts_and_overflows_on_mixed_footprints() {
     assert!(capacity_aborts > 0, "the five-line program must overflow");
     // Core t commits the 39 - t programs before its oversized one.
     assert_eq!(stats.commits(), (32..=39).sum::<u64>());
-    pin("l1_capacity3/mixed", &stats, 0x41888e2c8b22ac71);
+    pin("l1_capacity3/mixed", &stats, 0x3e39eb09f71dcdb6);
 }
 
 #[test]
@@ -267,5 +270,5 @@ fn fallback_after_two_retries() {
         stats.merged().fallbacks > 0,
         "max_retries = 2 must fall back"
     );
-    pin("max_retries2/stack16", &stats, 0x89767dd223713613);
+    pin("max_retries2/stack16", &stats, 0x7a6b58f0369b8e8c);
 }

@@ -4,12 +4,11 @@
 //! outside the simulator.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tcp_core::engine::{EngineStats, SeedFanout};
 use tcp_core::policy::GracePolicy;
-use tcp_core::rng::uniform_u64_below;
+use tcp_core::rng::{uniform_u64_below, Xoshiro256StarStar};
 
 use crate::runtime::{Stm, TxCtx};
 use crate::structures::TStack;
@@ -38,27 +37,70 @@ pub fn stack_throughput<P: GracePolicy + Clone>(
     seed: u64,
 ) -> Throughput {
     let cap = 1 << 16;
-    let stm = Arc::new(Stm::new(TStack::words(cap), threads));
+    let stm = Stm::new(TStack::words(cap), threads);
     let st = TStack::new(0, cap);
-    let stop = Arc::new(AtomicBool::new(false));
+    run_workers(&stm, policy, threads, dur, seed, |t, _, i| {
+        if i.is_multiple_of(2) {
+            t.run(|tx| st.push(tx, i));
+        } else {
+            t.run(|tx| st.pop(tx));
+        }
+    })
+}
+
+/// Hammer the 64-object transactional application (acquire and modify two
+/// random objects per transaction).
+pub fn txapp_throughput<P: GracePolicy + Clone>(
+    policy: P,
+    threads: usize,
+    objects: u64,
+    dur: Duration,
+    seed: u64,
+) -> Throughput {
+    let stm = Stm::new(objects as usize, threads);
+    run_workers(&stm, policy, threads, dur, seed, |t, pick, _| {
+        let a = uniform_u64_below(pick, objects) as usize;
+        let mut b = uniform_u64_below(pick, objects - 1) as usize;
+        if b >= a {
+            b += 1;
+        }
+        t.run(|tx| {
+            let x = tx.read(a)?;
+            let y = tx.read(b)?;
+            tx.write(a, x + 1)?;
+            tx.write(b, y + 1)
+        });
+    })
+}
+
+/// The one worker loop: `threads` threads each run `body(ctx, pick, i)`
+/// for `i = 0, 1, ...` until `dur` has passed, then their stats merge.
+/// Each thread gets two independent substreams of `seed`: one drives the
+/// policy, one (`pick`) is the body's own.
+fn run_workers<P: GracePolicy + Clone>(
+    stm: &Stm,
+    policy: P,
+    threads: usize,
+    dur: Duration,
+    seed: u64,
+    body: impl Fn(&mut TxCtx<'_, P>, &mut Xoshiro256StarStar, u64) + Sync,
+) -> Throughput {
+    let stop = AtomicBool::new(false);
     let start = Instant::now();
     let mut totals = EngineStats::default();
+    let mut fan = SeedFanout::new(seed);
+    let rngs: Vec<_> = (0..threads).map(|_| (fan.stream(), fan.stream())).collect();
     std::thread::scope(|s| {
+        let (stop, body) = (&stop, &body);
         let handles: Vec<_> = (0..threads)
-            .zip(SeedFanout::streams(seed, threads))
-            .map(|(id, rng)| {
-                let stm = Arc::clone(&stm);
-                let stop = Arc::clone(&stop);
+            .zip(rngs)
+            .map(|(id, (policy_rng, mut pick))| {
                 let policy = policy.clone();
                 s.spawn(move || {
-                    let mut t = TxCtx::new(&stm, id, policy, rng);
+                    let mut t = TxCtx::new(stm, id, policy, policy_rng);
                     let mut i = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        if i.is_multiple_of(2) {
-                            t.run(|tx| st.push(tx, i));
-                        } else {
-                            t.run(|tx| st.pop(tx));
-                        }
+                        body(&mut t, &mut pick, i);
                         i += 1;
                     }
                     t.stats
@@ -71,69 +113,10 @@ pub fn stack_throughput<P: GracePolicy + Clone>(
             totals.merge(&h.join().expect("worker panicked"));
         }
     });
-    let wall_ns = start.elapsed().as_nanos() as u64;
     Throughput {
         threads,
         ops: totals.commits,
-        wall_ns,
-        aborts: totals.aborts,
-    }
-}
-
-/// Hammer the 64-object transactional application (acquire and modify two
-/// random objects per transaction).
-pub fn txapp_throughput<P: GracePolicy + Clone>(
-    policy: P,
-    threads: usize,
-    objects: u64,
-    dur: Duration,
-    seed: u64,
-) -> Throughput {
-    let stm = Arc::new(Stm::new(objects as usize, threads));
-    let stop = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let mut totals = EngineStats::default();
-    // Two independent substreams per thread: one drives the policy, one
-    // picks the objects each transaction touches.
-    let mut fan = SeedFanout::new(seed);
-    let rngs: Vec<_> = (0..threads).map(|_| (fan.stream(), fan.stream())).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .zip(rngs)
-            .map(|(id, (policy_rng, mut pick))| {
-                let stm = Arc::clone(&stm);
-                let stop = Arc::clone(&stop);
-                let policy = policy.clone();
-                s.spawn(move || {
-                    let mut t = TxCtx::new(&stm, id, policy, policy_rng);
-                    while !stop.load(Ordering::Relaxed) {
-                        let a = uniform_u64_below(&mut pick, objects) as usize;
-                        let mut b = uniform_u64_below(&mut pick, objects - 1) as usize;
-                        if b >= a {
-                            b += 1;
-                        }
-                        t.run(|tx| {
-                            let x = tx.read(a)?;
-                            let y = tx.read(b)?;
-                            tx.write(a, x + 1)?;
-                            tx.write(b, y + 1)
-                        });
-                    }
-                    t.stats
-                })
-            })
-            .collect();
-        std::thread::sleep(dur);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            totals.merge(&h.join().expect("worker panicked"));
-        }
-    });
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    Throughput {
-        threads,
-        ops: totals.commits,
-        wall_ns,
+        wall_ns: start.elapsed().as_nanos() as u64,
         aborts: totals.aborts,
     }
 }

@@ -7,7 +7,7 @@
 //! over many trials reproduces the bars of Figures 2a–2c.
 
 use tcp_core::conflict::{conflict_cost, offline_opt};
-use tcp_core::engine::{AbortKind, ConflictArbiter, EngineStats};
+use tcp_core::engine::{ConflictArbiter, RegretTally};
 use tcp_core::policy::GracePolicy;
 use tcp_core::rng::{uniform01, Xoshiro256StarStar};
 
@@ -72,31 +72,30 @@ impl RemainingTime<'_> {
 
 /// Run one cell of Figure 2: `trials` conflicts of strategy `policy`
 /// against remaining times drawn from `remaining`. Mean cost / OPT /
-/// ratio / abort rate come out of the returned
-/// [`EngineStats`](tcp_core::engine::EngineStats) accessors.
+/// ratio / abort rate come out of the returned [`RegretTally`]'s
+/// accessors.
 pub fn run_synthetic(
     cfg: &SyntheticConfig,
     remaining: &RemainingTime<'_>,
     policy: &dyn GracePolicy,
-) -> EngineStats {
+) -> RegretTally {
     let mut rng = Xoshiro256StarStar::new(cfg.seed);
     // One isolated conflict per trial: no §7 backoff, no cap — the policy's
     // raw answer (sanitized) is what Figure 2 measures.
     let arbiter = ConflictArbiter::new(policy).with_backoff(false);
-    let mut stats = EngineStats::default();
+    let mut tally = RegretTally::default();
     for _ in 0..cfg.trials {
         let d = remaining.draw(&mut rng);
         let decision = arbiter.sample(cfg.abort_cost, cfg.chain, &mut rng);
         let (c, x) = (decision.conflict, decision.grace);
         let mode = arbiter.mode(&c);
-        stats.record_trial(conflict_cost(mode, &c, d, x), offline_opt(mode, &c, d));
-        if d > x {
-            stats.record_abort(AbortKind::Conflict, 0);
-        } else {
-            stats.commits += 1;
-        }
+        tally.record(
+            conflict_cost(mode, &c, d, x),
+            offline_opt(mode, &c, d),
+            d > x,
+        );
     }
-    stats
+    tally
 }
 
 /// The worst-case remaining time for the deterministic requestor-wins

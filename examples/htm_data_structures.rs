@@ -26,15 +26,23 @@ fn main() {
             "{:12} {:>12} {:>10} {:>10} {:>12}",
             "strategy", "ops/sec", "aborts", "conflicts", "saved-by-delay"
         );
-        for arm in figure3_arms(workload.as_ref()) {
-            let mut cfg = SimConfig::new(threads, arm.policy);
+        // The paper's four arms (§8.2).
+        let tuned = HandTuned::new(ResolutionMode::RequestorWins, workload.tuned_delay());
+        let arms: [(&str, Arc<dyn GracePolicy>); 4] = [
+            ("NO_DELAY", Arc::new(NoDelay::requestor_wins())),
+            ("DELAY_TUNED", Arc::new(tuned)),
+            ("DELAY_DET", Arc::new(DetRw)),
+            ("DELAY_RAND", Arc::new(RandRw)),
+        ];
+        for (label, policy) in arms {
+            let mut cfg = SimConfig::new(threads, policy);
             cfg.horizon = horizon;
             let mut sim = Simulator::new(cfg, Arc::clone(&workload));
             sim.run();
             let s = &sim.stats;
             println!(
                 "{:12} {:>12.3e} {:>10} {:>10} {:>12}",
-                arm.label,
+                label,
                 s.ops_per_second(1.0),
                 s.aborts(),
                 s.global.conflicts,

@@ -1,12 +1,22 @@
 #!/usr/bin/env bash
 # "One driver" guard (ROADMAP aim 2): every paper claim runs through one
-# policy family (tcp-core), one single-conflict kernel (run_synthetic) and
-# one experiment table (`tcp <name>`, the serving sweeps included). Fails
-# if crates/skirental exists, if crates/bench/src/bin holds anything but
-# tcp.rs, or if `conflict_cost(` appears in non-test code (above a
-# file's first `#[cfg(test)]`, outside tests/, comment lines ignored)
-# beyond core/src/conflict.rs, workloads/src/synthetic.rs and
-# analysis/src/{global_model,game_solver}.rs. Run from anywhere:
+# policy family (tcp-core), one single-conflict kernel (run_synthetic), one
+# consultation (`ConflictArbiter`), one cost-vs-OPT tally (`RegretTally`)
+# and one experiment table (`tcp <name>`, the serving sweeps included).
+# Non-test code is everything above a file's first `#[cfg(test)]`, outside
+# tests/, comment lines ignored. Fails if
+#   - crates/skirental exists, or crates/bench/src/bin holds anything but
+#     tcp.rs;
+#   - non-test code calls `conflict_cost(` beyond core/src/conflict.rs,
+#     workloads/src/synthetic.rs and analysis/src/{global_model,game_solver}.rs;
+#   - non-test code in crates/*/src calls `.grace(` beyond
+#     core/src/{engine,policy,randomized,profiler}.rs (the arbiter, the
+#     trait's forwarding impls, and the policies that delegate);
+#   - `WithBackoff`, `sweep_threads` or `SweepPoint` appears in any .rs file
+#     or the README (a second §7 inflation, a second simulator sweep);
+#   - `EngineStats` (its struct or an `impl EngineStats` block) declares
+#     `total_cost` or `record_trial` (cost vs OPT is RegretTally's).
+# Run from anywhere:
 #
 #   ./scripts/check_one_driver.sh
 set -euo pipefail
@@ -37,7 +47,39 @@ if [[ -n "$kernels" ]]; then
     fail=1
 fi
 
+consults=$(find crates/*/src -name '*.rs' |
+    grep -vxE 'crates/core/src/(engine|policy|randomized|profiler)\.rs' |
+    xargs awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// && /\.grace\(/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$consults" ]]; then
+    echo "check_one_driver: a policy consulted beside ConflictArbiter:"
+    echo "$consults"
+    fail=1
+fi
+
+gone=$(grep -rnwE 'WithBackoff|sweep_threads|SweepPoint' --include='*.rs' \
+    crates src examples tests README.md || true)
+if [[ -n "$gone" ]]; then
+    echo "check_one_driver: a second backoff wrapper or simulator sweep:"
+    echo "$gone"
+    fail=1
+fi
+
+tally=$(awk '
+    /^pub struct EngineStats \{|^impl EngineStats \{/ { inside = 1 }
+    inside && /total_cost|record_trial/ { print FILENAME ":" FNR ": " $0 }
+    inside && /^\}/ { inside = 0 }' crates/core/src/engine.rs)
+if [[ -n "$tally" ]]; then
+    echo "check_one_driver: EngineStats keeps a cost-vs-OPT tally beside RegretTally:"
+    echo "$tally"
+    fail=1
+fi
+
 if [[ $fail -eq 0 ]]; then
-    echo "check_one_driver: ok (no crates/skirental, one bin, conflict_cost only in the kernel's homes)"
+    echo "check_one_driver: ok (no crates/skirental, one bin, conflict_cost only in the kernel's homes," \
+        ".grace( only in the arbiter and the policies, no WithBackoff / sweep_threads / SweepPoint," \
+        "no cost tally in EngineStats)"
 fi
 exit $fail

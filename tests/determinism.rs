@@ -439,7 +439,7 @@ fn server_read_modes_same_seed_identical_state() {
     );
 }
 
-/// The single-conflict kernel reports through the same EngineStats; its
+/// The single-conflict kernel reports through a RegretTally; its
 /// internal seeding must reproduce the f64 accumulators exactly — for the
 /// Figure 2 procedure and for §4.2's ski rental (Karlin's continuous
 /// strategy, `RandRa`, against a fixed season), each seeing both outcomes.
@@ -463,7 +463,10 @@ fn synthetic_testbed_same_seed_identical_stats() {
         let a = run(5);
         assert_eq!(a, run(5));
         assert_eq!(a.trials, 20_000);
-        assert!(a.aborts > 0 && a.commits > 0, "both outcomes must occur");
+        assert!(
+            a.aborts > 0 && a.trials > a.aborts,
+            "both outcomes must occur"
+        );
         assert_ne!(a, run(6), "different seeds must draw different graces");
     }
 }

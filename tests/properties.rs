@@ -148,16 +148,16 @@ proptest! {
 }
 
 mod stats_merge_properties {
-    //! The engine-layer tally is a commutative monoid: merging shards must
-    //! give the same aggregate whatever the grouping or order — including
-    //! the shed/backpressure counters and the streaming latency histogram.
+    //! The engine-layer tallies are commutative monoids: merging shards
+    //! must give the same aggregate whatever the grouping or order —
+    //! including the shed/backpressure counters, the streaming latency
+    //! histogram and the cost-vs-OPT sums.
 
     use super::*;
     use rand::RngCore;
 
     /// A pseudo-random but fully deterministic `EngineStats` derived from
-    /// one seed. f64 accumulators are small integers so that their sums
-    /// are exact and associativity can be asserted with `==`.
+    /// one seed.
     fn arb_stats(seed: u64) -> EngineStats {
         let mut rng = Xoshiro256StarStar::new(seed);
         let mut draw = |m: u64| rng.next_u64() % m;
@@ -181,20 +181,35 @@ mod stats_merge_properties {
         for _ in 0..draw(8) {
             s.record_chain(draw(20) as usize);
         }
-        for _ in 0..draw(10) {
-            // Power-of-two OPT keeps cost/OPT exactly representable, so the
-            // f64 accumulators stay associative under reordering (the
-            // property under test is merge's algebra, not float rounding).
-            s.record_trial(draw(1000) as f64, (1u64 << draw(5)) as f64);
-        }
         for _ in 0..draw(12) {
             s.record_latency(draw(1 << 20));
         }
         s
     }
 
+    /// A deterministic `RegretTally` from one seed. Integer costs keep the
+    /// f64 sums exact, so they stay associative under reordering (the
+    /// property under test is merge's algebra, not float rounding).
+    fn arb_tally(seed: u64) -> RegretTally {
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let mut draw = |m: u64| rng.next_u64() % m;
+        let mut t = RegretTally::default();
+        for _ in 0..draw(10) {
+            t.record(draw(1000) as f64, (1 + draw(500)) as f64, draw(2) == 0);
+        }
+        t
+    }
+
     fn merged(parts: &[&EngineStats]) -> EngineStats {
         let mut out = EngineStats::default();
+        for p in parts {
+            out.merge(p);
+        }
+        out
+    }
+
+    fn merged_tally(parts: &[&RegretTally]) -> RegretTally {
+        let mut out = RegretTally::default();
         for p in parts {
             out.merge(p);
         }
@@ -211,6 +226,15 @@ mod stats_merge_properties {
             let mut bc = b.clone();
             bc.merge(&c);
             let mut right = a.clone();
+            right.merge(&bc);
+            prop_assert_eq!(left, right);
+            let (a, b, c) = (arb_tally(sa), arb_tally(sb), arb_tally(sc));
+            let mut left = a;
+            left.merge(&b);
+            left.merge(&c);
+            let mut bc = b;
+            bc.merge(&c);
+            let mut right = a;
             right.merge(&bc);
             prop_assert_eq!(left, right);
         }
@@ -233,6 +257,11 @@ mod stats_merge_properties {
                 abc.latency_hist.count(),
                 a.latency_hist.count() + b.latency_hist.count() + c.latency_hist.count()
             );
+            let (a, b, c) = (arb_tally(sa), arb_tally(sb), arb_tally(sc));
+            let abc = merged_tally(&[&a, &b, &c]);
+            prop_assert_eq!(abc, merged_tally(&[&c, &b, &a]));
+            prop_assert_eq!(abc, merged_tally(&[&b, &a, &c]));
+            prop_assert_eq!(abc.trials, a.trials + b.trials + c.trials);
         }
 
         #[test]
