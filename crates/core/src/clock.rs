@@ -3,12 +3,21 @@
 //! [`now`] is a raw counter read — the TSC on x86_64 (a few ns,
 //! unserialized, no syscall or vDSO call), nanoseconds since a process
 //! epoch elsewhere — cheap enough for a spin loop and a per-attempt stamp.
-//! Ticks are only meaningful as *differences taken on one thread*;
-//! [`ticks_to_ns`] / [`ns_to_ticks`] convert such a difference through a
-//! once-per-process scale.
+//! Ticks are only meaningful as *differences*; [`ticks_to_ns`] /
+//! [`ns_to_ticks`] convert one through a once-per-process scale, and
+//! [`Stamp`] is a reading that carries its own difference arithmetic.
 //!
 //! Contract:
 //! * [`now`] is monotone per thread and never calibrates.
+//! * A difference of readings taken on two threads is valid where the
+//!   counter is synchronised across CPUs: always for the fallback source,
+//!   and for the TSC wherever Linux runs the `tsc` clocksource (it selects
+//!   it only after its cross-CPU synchronisation check). The lifecycle
+//!   trace and the server's queue-wait stamps rely on this. A reading
+//!   taken after a hand-off is ordered after one taken before it only if
+//!   it is [`Stamp::now_ordered`]; any other pair of readings from two
+//!   threads may come out a little behind each other, and [`Stamp`] reads
+//!   such a negative difference as 0.
 //! * The scale is fixed at the first conversion and never changes, so
 //!   converted durations are mutually consistent for the life of the
 //!   process (to within the ~0.1 % calibration error; they are *not*
@@ -45,6 +54,12 @@ mod instant_source {
         EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
 
+    /// `Instant` reads are already ordered after earlier loads.
+    #[inline]
+    pub fn now_ordered() -> u64 {
+        now()
+    }
+
     pub fn ns_per_tick() -> f64 {
         1.0
     }
@@ -70,6 +85,19 @@ mod tsc_source {
     pub fn now() -> u64 {
         // SAFETY: `_rdtsc` has no preconditions.
         unsafe { core::arch::x86_64::_rdtsc() }
+    }
+
+    /// [`now`] read only once every earlier load has completed: `lfence`
+    /// holds the `rdtsc` back, as the kernel's vDSO clock does. Plain
+    /// `rdtsc` may run ahead of an earlier load still in flight, so a
+    /// reading taken just after an `Acquire` can predate the store that
+    /// load saw — by up to ~190 ticks (~60 ns) on a 2-vCPU Xeon guest,
+    /// never with the fence.
+    #[inline]
+    pub fn now_ordered() -> u64 {
+        // SAFETY: `lfence` is SSE2, which every x86_64 CPU has.
+        unsafe { core::arch::x86_64::_mm_lfence() };
+        now()
     }
 
     /// Read both clocks, bracketing the `Instant` read between two TSC
@@ -119,10 +147,58 @@ use instant_source as source;
 #[cfg(target_arch = "x86_64")]
 use tsc_source as source;
 
-/// The current tick count. Compare only with other reads on this thread.
+/// The current tick count (see the module contract for which differences
+/// are valid).
 #[inline]
 pub fn now() -> u64 {
     source::now()
+}
+
+/// One [`now`] reading as a timestamp: what the server stamps on an
+/// envelope at admission and what its executor stamps at start and end of
+/// service. Differences saturate at 0, so a reading taken on another
+/// thread that lands just behind this one reads as "no time", never as a
+/// wrapped huge one.
+///
+/// Across a hand-off (a `Release` store on one thread, the `Acquire` load
+/// that sees it on another), a [`now`](Self::now) taken before the store
+/// is never later than a [`now_ordered`](Self::now_ordered) taken after
+/// the load. A plain `now` after the load carries no such promise: the
+/// counter read may run ahead of the load.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Stamp(u64);
+
+impl Stamp {
+    /// The current reading. One counter read; never calibrates.
+    #[inline]
+    pub fn now() -> Self {
+        Self(now())
+    }
+
+    /// The current reading, taken only after every earlier load has
+    /// completed: the stamp to take after receiving another thread's
+    /// stamp (one fence more than [`now`](Self::now), ~10 ns).
+    #[inline]
+    pub fn now_ordered() -> Self {
+        Self(source::now_ordered())
+    }
+
+    /// Ticks from `earlier` to `self` (0 if `earlier` is later).
+    #[inline]
+    pub(crate) fn ticks_since(self, earlier: Stamp) -> u64 {
+        self.0.saturating_sub(earlier.0)
+    }
+
+    /// Nanoseconds from `earlier` to `self` (0 if `earlier` is later).
+    #[inline]
+    pub fn ns_since(self, earlier: Stamp) -> u64 {
+        ticks_to_ns(self.ticks_since(earlier))
+    }
+
+    /// Time from this reading, taken on any thread, to now.
+    pub fn elapsed(self) -> std::time::Duration {
+        std::time::Duration::from_nanos(Self::now_ordered().ns_since(self))
+    }
 }
 
 /// Pin the start of the calibration window (idempotent; one counter read,
@@ -166,6 +242,66 @@ mod tests {
             assert!(t >= prev, "tick clock went backwards: {prev} -> {t}");
             prev = t;
         }
+    }
+
+    #[test]
+    fn a_stamp_before_a_release_is_not_after_one_past_its_acquire() {
+        // Two threads hand a turn back and forth 100k times. Each stamps
+        // just before the `Release` store that passes the turn on, and
+        // (ordered) just after the `Acquire` load that receives it: across
+        // threads, the sender's stamp is never later than the receiver's.
+        // With a plain `Stamp::now` on the receiving side this fails within
+        // a few thousand rounds on a 2-vCPU Xeon guest.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const ROUNDS: u64 = 100_000;
+        let turn = AtomicU64::new(0);
+        let wait_for = |t: u64| {
+            let mut spins = 0u32;
+            while turn.load(Ordering::Acquire) != t {
+                spins += 1;
+                if spins.is_multiple_of(256) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+            Stamp::now_ordered()
+        };
+        // Side `side` receives turns 2r + side and sends 2r + side + 1.
+        let play = |side: u64| {
+            let mut sent = Vec::with_capacity(ROUNDS as usize);
+            let mut received = Vec::with_capacity(ROUNDS as usize);
+            for r in 0..ROUNDS {
+                received.push(wait_for(2 * r + side));
+                sent.push(Stamp::now());
+                turn.store(2 * r + side + 1, Ordering::Release);
+            }
+            (sent, received)
+        };
+        let ((sent0, received0), (sent1, received1)) = std::thread::scope(|s| {
+            let other = s.spawn(|| play(1));
+            (play(0), other.join().unwrap())
+        });
+        for r in 0..ROUNDS as usize {
+            assert!(sent0[r] <= received1[r], "round {r}: 0 -> 1 went backwards");
+            if r + 1 < ROUNDS as usize {
+                assert!(
+                    sent1[r] <= received0[r + 1],
+                    "round {r}: 1 -> 0 went backwards"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stamp_differences_saturate_and_convert() {
+        let a = Stamp::now();
+        std::thread::sleep(Duration::from_millis(1));
+        let b = Stamp::now();
+        assert_eq!(a.ticks_since(b), 0, "a negative difference reads as 0");
+        assert_eq!(a.ns_since(b), 0);
+        assert!(b.ns_since(a) >= 990_000, "{} ns", b.ns_since(a));
+        assert!(a.elapsed() >= Duration::from_nanos(b.ns_since(a)));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use rand::RngCore;
 
+use crate::clock::Stamp;
 use crate::conflict::{Conflict, ResolutionMode};
 use crate::hist::LatencyHistogram;
 use crate::policy::GracePolicy;
@@ -534,9 +535,12 @@ impl RegretTally {
 pub struct QueueWaitEstimator {
     /// Window width, nanoseconds.
     window_ns: u64,
-    /// Epoch for the atomic clock words below.
-    created: std::time::Instant,
-    /// Nanoseconds (since `created`) at which the current window started.
+    /// The same width in ticks, converted at first use: a conversion may
+    /// wait out the clock's calibration, which construction must not.
+    window_ticks: std::sync::OnceLock<u64>,
+    /// Tick-clock epoch of `window_start`.
+    created: Stamp,
+    /// Ticks (since `created`) at which the current window started.
     window_start: std::sync::atomic::AtomicU64,
     /// Current window's sample counts, [`crate::hist`] bucket geometry.
     counts: Box<[std::sync::atomic::AtomicU64]>,
@@ -570,9 +574,11 @@ impl QueueWaitEstimator {
     pub fn new(window_ns: u64) -> Self {
         assert!(window_ns > 0, "a zero-width window never completes");
         use std::sync::atomic::AtomicU64;
+        crate::clock::anchor();
         Self {
             window_ns,
-            created: std::time::Instant::now(),
+            window_ticks: std::sync::OnceLock::new(),
+            created: Stamp::now(),
             window_start: AtomicU64::new(0),
             counts: (0..crate::hist::NUM_BUCKETS)
                 .map(|_| AtomicU64::new(0))
@@ -585,7 +591,7 @@ impl QueueWaitEstimator {
     /// Record one queue-wait sample (nanoseconds). O(1), lock-free, and
     /// reads no clock: `now` is the reading the caller already holds (the
     /// executor's completion stamp), used to close the window when due.
-    pub fn record_at(&self, v: u64, now: std::time::Instant) {
+    pub fn record_at(&self, v: u64, now: Stamp) {
         use std::sync::atomic::Ordering;
         self.counts[crate::hist::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.maybe_rotate(now);
@@ -596,7 +602,7 @@ impl QueueWaitEstimator {
     /// advances the window if it has elapsed, so a traffic drought decays
     /// the estimate instead of freezing it.
     pub fn p99(&self) -> u64 {
-        self.maybe_rotate(std::time::Instant::now());
+        self.maybe_rotate(Stamp::now());
         self.cached_p99.load(std::sync::atomic::Ordering::Relaxed)
     }
 
@@ -609,11 +615,16 @@ impl QueueWaitEstimator {
     /// Close the window if it has elapsed: sweep the bucket counts (one
     /// atomic swap each), fold them into `cached_p99`, and start the next
     /// window. Exactly one thread wins the CAS per rotation.
-    fn maybe_rotate(&self, now: std::time::Instant) {
+    fn maybe_rotate(&self, now: Stamp) {
         use std::sync::atomic::Ordering;
-        let now = now.saturating_duration_since(self.created).as_nanos() as u64;
+        let now = now.ticks_since(self.created);
         let start = self.window_start.load(Ordering::Relaxed);
-        if now.wrapping_sub(start) < self.window_ns {
+        let window = *self
+            .window_ticks
+            .get_or_init(|| crate::clock::ns_to_ticks(self.window_ns as f64));
+        // Saturating: a stamp taken just before another thread rotated
+        // reads as inside the new window, not as a wrapped huge age.
+        if now.saturating_sub(start) < window {
             return;
         }
         if self
@@ -1115,7 +1126,7 @@ mod tests {
         // cached estimate stays at its pre-window value until the window
         // elapses.
         let est = QueueWaitEstimator::new(u64::MAX / 2);
-        let now = std::time::Instant::now();
+        let now = Stamp::now();
         est.record_at(50, now);
         est.record_at(5_000, now);
         assert_eq!(est.p99(), 0, "window still open: cache unchanged");
@@ -1130,7 +1141,7 @@ mod tests {
                 let est = std::sync::Arc::clone(&est);
                 s.spawn(move || {
                     for i in 0..20_000u64 {
-                        est.record_at(1_000 + (t * 7 + i) % 64, std::time::Instant::now());
+                        est.record_at(1_000 + (t * 7 + i) % 64, Stamp::now());
                     }
                 });
             }

@@ -18,8 +18,12 @@
 //! `seq == pos + 1`).
 //!
 //! **Linearization.** A push takes effect at its ticket CAS on `tail`, a pop
-//! at its claim CAS on `head`; a consumer CASes only after it has seen the
-//! slot published, so the CAS transfers ownership of the value and any
+//! at its claim CAS on `head`. A consumer scans forward from `head` over
+//! the run of published slots (up to what it asked for) and claims the
+//! whole run with that one CAS, so [`Ring::try_pop_batch`] of n costs one
+//! `head` write, not n, and linearizes as n pops at the CAS; [`Ring::try_pop`]
+//! is the run of one. A consumer CASes only after it has seen every slot of
+//! the run published, so the CAS transfers ownership of the values and any
 //! number of concurrent consumers partition the values exactly once, in
 //! ticket order. `close` sets a bit in the `tail` word itself, so "was this
 //! ticket won before the close" has one answer: no push can win a ticket
@@ -225,49 +229,91 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Claim and take the oldest published value, if there is one. Safe
-    /// from any number of threads at once; never waits (a value whose
-    /// producer is mid-publish is simply not there yet).
+    /// Claim and take the oldest published value, if there is one: the
+    /// one-slot case of [`try_pop_batch`](Self::try_pop_batch).
     pub fn try_pop(&self) -> Option<T> {
+        let mut got = None;
+        self.claim(1, |value| got = Some(value));
+        got
+    }
+
+    /// Claim up to `max` of the oldest published values with one `head`
+    /// CAS and append them to `out` in ticket order; returns how many (0
+    /// when nothing is published at `head`, or `max` is 0). Safe from any
+    /// number of threads at once; never waits (a value whose producer is
+    /// mid-publish ends the run).
+    pub fn try_pop_batch(&self, max: usize, out: &mut Vec<T>) -> usize {
+        // Grow before claiming, so no reallocation holds claimed slots
+        // unreleased.
+        out.reserve(max.min(self.capacity));
+        self.claim(max, |value| out.push(value))
+    }
+
+    /// The ring's one claim: scan forward from `head` while slots are
+    /// published (`seq == pos + 1`), up to `max`, claim that whole run with
+    /// one CAS of `head`, then read out and release each claimed slot in
+    /// order, handing its value to `take`.
+    ///
+    /// A slot seen published stays published until the consumer of its
+    /// position releases it, and that consumer must first have moved
+    /// `head` past it. So a CAS that finds `head` unchanged since the scan
+    /// claims exactly the run the scan saw: it linearizes as that many
+    /// pops, each in ticket order.
+    #[inline]
+    fn claim(&self, max: usize, mut take: impl FnMut(T)) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        // How far the slot of `pos` is past "published for `pos`": 0 when
+        // it is, negative while its value is not yet there, positive once
+        // a consumer has taken it.
+        let published = |pos: usize| {
+            let seq = self.slots[pos & self.mask].seq.load(Ordering::Acquire);
+            (seq as isize).wrapping_sub(pos.wrapping_add(1) as isize)
+        };
         let mut head = self.head.load(Ordering::SeqCst);
         loop {
-            let slot = &self.slots[head & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match (seq as isize)
-                .wrapping_sub(head.wrapping_add(1) as isize)
-                .cmp(&0)
-            {
-                Cmp::Equal => {
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the `Acquire` load saw the value
-                            // published for `head`, and the CAS made this
-                            // thread the one consumer of that position; the
-                            // slot is not reused before the store below.
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
-                            #[cfg(test)]
-                            CLAIM_PAUSE.with_borrow_mut(|pause| {
-                                if let Some(pause) = pause {
-                                    pause()
-                                }
-                            });
-                            slot.seq
-                                .store(head.wrapping_add(self.slots.len()), Ordering::Release);
-                            return Some(value);
-                        }
-                        Err(h) => head = h, // another consumer claimed it
-                    }
-                }
+            match published(head).cmp(&0) {
                 // Nothing published at `head`.
-                Cmp::Less => return None,
+                Cmp::Less => return 0,
                 // Another consumer already took this lap's value; reload.
-                Cmp::Greater => head = self.head.load(Ordering::SeqCst),
+                Cmp::Greater => {
+                    head = self.head.load(Ordering::SeqCst);
+                    continue;
+                }
+                Cmp::Equal => {}
             }
+            let mut n = 1;
+            while n < max && published(head.wrapping_add(n)) == 0 {
+                n += 1;
+            }
+            if let Err(h) = self.head.compare_exchange_weak(
+                head,
+                head.wrapping_add(n),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                head = h; // another consumer claimed some of the run
+                continue;
+            }
+            #[cfg(test)]
+            CLAIM_PAUSE.with_borrow_mut(|pause| {
+                if let Some(pause) = pause {
+                    pause()
+                }
+            });
+            for pos in (0..n).map(|i| head.wrapping_add(i)) {
+                let slot = &self.slots[pos & self.mask];
+                // SAFETY: the scan's `Acquire` load saw the value published
+                // for `pos`, and the CAS made this thread the one consumer
+                // of that position; the slot is not reused before the
+                // store below.
+                let value = unsafe { (*slot.value.get()).assume_init_read() };
+                slot.seq
+                    .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
+                take(value);
+            }
+            return n;
         }
     }
 
@@ -413,32 +459,38 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 6, "each value dropped once");
     }
 
+    /// Pop with claims of up to `max` until the ring is finished,
+    /// returning the ids in claim order.
+    fn drain_claims(ring: &Ring<Counted<'_>>, max: usize) -> Vec<u64> {
+        let mut got = Vec::new();
+        let mut buf = Vec::new();
+        while ring.front() != Front::Finished {
+            let n = ring.try_pop_batch(max, &mut buf);
+            assert!(n <= max, "claimed {n} of at most {max}");
+            if n == 0 {
+                std::thread::yield_now();
+            }
+            got.extend(buf.drain(..).map(|c| c.id));
+        }
+        got
+    }
+
     /// `producers` threads push `per_producer` values each (ids
-    /// `p * per_producer + i`) while `consumers` threads pop until the
-    /// ring is finished; the producers give up on a value at the first
-    /// `Full`. Returns what each consumer popped, in its pop order, and the
-    /// number of refused values.
+    /// `p * per_producer + i`) while one consumer per entry of `claims`
+    /// pops with claims of up to that many until the ring is finished; the
+    /// producers give up on a value at the first `Full`. Returns what each
+    /// consumer popped, in its pop order, and the number of refused values.
     fn hammer<'a>(
         ring: &Ring<Counted<'a>>,
         drops: &'a AtomicU64,
         producers: u64,
         per_producer: u64,
-        consumers: usize,
+        claims: &[usize],
     ) -> (Vec<Vec<u64>>, u64) {
         std::thread::scope(|s| {
-            let consumers: Vec<_> = (0..consumers)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        while ring.front() != Front::Finished {
-                            match ring.try_pop() {
-                                Some(c) => got.push(c.id),
-                                None => std::thread::yield_now(),
-                            }
-                        }
-                        got
-                    })
-                })
+            let consumers: Vec<_> = claims
+                .iter()
+                .map(|&max| s.spawn(move || drain_claims(ring, max)))
                 .collect();
             let producers: Vec<_> = (0..producers)
                 .map(|p| {
@@ -475,35 +527,129 @@ mod tests {
         })
     }
 
-    #[test]
-    fn producers_and_consumers_lose_and_duplicate_nothing() {
-        // 4 producers against 1 and against 3 consumers on 8 slots: pushed
-        // = popped + refused, every popped id exactly once, each consumer
-        // sees each producer's ids in push order, and every value —
-        // popped or refused — is dropped exactly once.
+    /// 4 producers against one consumer per entry of `claims` on 8 slots:
+    /// pushed = popped + refused, every popped id exactly once, each
+    /// consumer sees each producer's ids in push order, and every value —
+    /// popped or refused — is dropped exactly once.
+    fn lose_and_duplicate_nothing(claims: &[usize]) {
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 20_000;
-        for consumers in [1, 3] {
-            let drops = AtomicU64::new(0);
-            let ring = Ring::new(8);
-            let (got, refused) = hammer(&ring, &drops, PRODUCERS, PER_PRODUCER, consumers);
-            let popped: u64 = got.iter().map(|g| g.len() as u64).sum();
-            assert_eq!(popped + refused, PRODUCERS * PER_PRODUCER);
-            assert_eq!(drops.load(Ordering::SeqCst), PRODUCERS * PER_PRODUCER);
-            let mut seen = vec![false; (PRODUCERS * PER_PRODUCER) as usize];
-            for got in &got {
-                let mut last = [None; PRODUCERS as usize];
-                for &id in got {
-                    assert!(
-                        !std::mem::replace(&mut seen[id as usize], true),
-                        "{id} twice"
-                    );
-                    let p = (id / PER_PRODUCER) as usize;
-                    assert!(last[p] < Some(id), "producer {p}: {id} after {:?}", last[p]);
-                    last[p] = Some(id);
-                }
+        let drops = AtomicU64::new(0);
+        let ring = Ring::new(8);
+        let (got, refused) = hammer(&ring, &drops, PRODUCERS, PER_PRODUCER, claims);
+        let popped: u64 = got.iter().map(|g| g.len() as u64).sum();
+        assert_eq!(popped + refused, PRODUCERS * PER_PRODUCER);
+        assert_eq!(drops.load(Ordering::SeqCst), PRODUCERS * PER_PRODUCER);
+        let mut seen = vec![false; (PRODUCERS * PER_PRODUCER) as usize];
+        for got in &got {
+            let mut last = [None; PRODUCERS as usize];
+            for &id in got {
+                assert!(
+                    !std::mem::replace(&mut seen[id as usize], true),
+                    "{id} twice"
+                );
+                let p = (id / PER_PRODUCER) as usize;
+                assert!(last[p] < Some(id), "producer {p}: {id} after {:?}", last[p]);
+                last[p] = Some(id);
             }
         }
+    }
+
+    #[test]
+    fn producers_and_consumers_lose_and_duplicate_nothing() {
+        lose_and_duplicate_nothing(&[1]);
+        lose_and_duplicate_nothing(&[1, 1, 1]);
+    }
+
+    #[test]
+    fn batch_claims_of_mixed_size_lose_and_duplicate_nothing() {
+        // One CAS claims a whole run: consumers asking for 1, 3 and 16 at
+        // a time still partition the values exactly once, each in FIFO
+        // per producer.
+        lose_and_duplicate_nothing(&[1, 3, 16]);
+    }
+
+    #[test]
+    fn a_zero_claim_takes_nothing() {
+        let drops = AtomicU64::new(0);
+        let ring = Ring::new(4);
+        for id in 0..3 {
+            assert!(ring.try_push(counted(id, &drops)).is_ok());
+        }
+        let mut out = Vec::new();
+        assert_eq!(ring.try_pop_batch(0, &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!(ring.len(), 3, "nothing was claimed");
+        assert_eq!(ring.try_pop_batch(2, &mut out), 2);
+        assert_eq!(out.iter().map(|c| c.id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn close_mid_stream_under_an_owner_and_three_stealers() {
+        // Two producers push until refused `Closed` (a `Full` or `Lapped`
+        // push is retried), while an owner claiming 8 at a time and three
+        // stealers claiming 1, 3 and 16 drain; the ring is closed once
+        // 10 000 values have been popped. Every pushed value is popped
+        // exactly once, every refused one is handed back, and the ring
+        // ends finished.
+        const PRODUCERS: u64 = 2;
+        const ID_SPACE: u64 = 1 << 32;
+        let drops = AtomicU64::new(0);
+        let ring = Ring::new(8);
+        let (ring, drops) = (&ring, &drops);
+        let (got, pushed) = std::thread::scope(|s| {
+            let consumers: Vec<_> = [8, 1, 3, 16]
+                .into_iter()
+                .map(|max| s.spawn(move || drain_claims(ring, max)))
+                .collect();
+            // Each producer returns how many values it got in before its
+            // one refusal.
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    s.spawn(move || {
+                        for i in 0.. {
+                            let mut value = counted(p * ID_SPACE + i, drops);
+                            loop {
+                                match ring.try_push(value) {
+                                    Ok(_) => break,
+                                    Err(r) if r.why == Refusal::Closed => {
+                                        assert_eq!(r.value.id, p * ID_SPACE + i);
+                                        return i;
+                                    }
+                                    Err(r) => {
+                                        value = r.value;
+                                        std::thread::yield_now();
+                                    }
+                                }
+                            }
+                        }
+                        unreachable!("the ring closes")
+                    })
+                })
+                .collect();
+            while drops.load(Ordering::SeqCst) < 10_000 {
+                std::thread::yield_now();
+            }
+            ring.close();
+            let pushed: Vec<u64> = producers.into_iter().map(|h| h.join().unwrap()).collect();
+            let got: Vec<Vec<u64>> = consumers.into_iter().map(|h| h.join().unwrap()).collect();
+            (got, pushed)
+        });
+        assert_eq!(ring.front(), Front::Finished);
+        let (pushed_total, refused) = (pushed.iter().sum::<u64>(), PRODUCERS);
+        let mut popped: Vec<u64> = got.concat();
+        assert_eq!(
+            popped.len() as u64,
+            pushed_total,
+            "pushed = popped + refused"
+        );
+        assert_eq!(drops.load(Ordering::SeqCst), pushed_total + refused);
+        popped.sort_unstable();
+        let expect: Vec<u64> = (0..PRODUCERS)
+            .flat_map(|p| (0..pushed[p as usize]).map(move |i| p * ID_SPACE + i))
+            .collect();
+        assert_eq!(popped, expect, "every pushed value popped exactly once");
     }
 
     #[test]
@@ -546,35 +692,50 @@ mod tests {
     fn a_slot_held_by_an_in_flight_consumer_is_lapped_not_full() {
         // A consumer stops between its head CAS and the slot release (the
         // pause hook; in production, a descheduled thread). The producer's
-        // next ticket maps to that slot while depth is 1 of 2.
-        let drops = AtomicU64::new(0);
-        let ring = Ring::new(2);
-        assert!(ring.try_push(counted(0, &drops)).is_ok());
-        assert!(ring.try_push(counted(1, &drops)).is_ok());
-        let (claimed_tx, claimed_rx) = mpsc::channel();
-        let (resume_tx, resume_rx) = mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            let ring = &ring;
-            let consumer = s.spawn(move || {
-                CLAIM_PAUSE.set(Some(Box::new(move || {
-                    claimed_tx.send(()).unwrap();
-                    resume_rx.recv().unwrap();
-                })));
-                let got = ring.try_pop().map(|c| c.id);
-                CLAIM_PAUSE.set(None);
-                got
+        // next ticket maps to that slot while depth is below capacity 2:
+        // 1 when the claim took one slot (`try_pop`), 0 when it took the
+        // run of both (`try_pop_batch`).
+        for max in [1, 16] {
+            let drops = AtomicU64::new(0);
+            let ring = Ring::new(2);
+            assert!(ring.try_push(counted(0, &drops)).is_ok());
+            assert!(ring.try_push(counted(1, &drops)).is_ok());
+            let claimed = max.min(2);
+            let (claimed_tx, claimed_rx) = mpsc::channel();
+            let (resume_tx, resume_rx) = mpsc::channel::<()>();
+            std::thread::scope(|s| {
+                let ring = &ring;
+                let consumer = s.spawn(move || {
+                    CLAIM_PAUSE.set(Some(Box::new(move || {
+                        claimed_tx.send(()).unwrap();
+                        resume_rx.recv().unwrap();
+                    })));
+                    let got: Vec<u64> = if max == 1 {
+                        ring.try_pop().map(|c| c.id).into_iter().collect()
+                    } else {
+                        let mut out = Vec::new();
+                        ring.try_pop_batch(max, &mut out);
+                        out.iter().map(|c| c.id).collect()
+                    };
+                    CLAIM_PAUSE.set(None);
+                    got
+                });
+                claimed_rx.recv().unwrap();
+                assert_eq!(ring.len(), 2 - claimed, "max {max}: claimed, not released");
+                let refused = ring.try_push(counted(2, &drops)).unwrap_err();
+                assert_eq!(refused.why, Refusal::Lapped, "below capacity is never Full");
+                resume_tx.send(()).unwrap();
+                let expect: Vec<u64> = (0..claimed as u64).collect();
+                assert_eq!(consumer.join().unwrap(), expect);
+                // Released: the same push now goes through.
+                assert_eq!(ring.try_push(refused.value).ok(), Some(3 - claimed));
             });
-            claimed_rx.recv().unwrap();
-            assert_eq!(ring.len(), 1, "position 0 is claimed: depth 1 < capacity 2");
-            let refused = ring.try_push(counted(2, &drops)).unwrap_err();
-            assert_eq!(refused.why, Refusal::Lapped, "below capacity is never Full");
-            resume_tx.send(()).unwrap();
-            assert_eq!(consumer.join().unwrap(), Some(0));
-            // Released: the same push now goes through.
-            assert_eq!(ring.try_push(refused.value).ok(), Some(2));
-        });
-        assert_eq!(ring.try_pop().map(|c| c.id), Some(1));
-        assert_eq!(ring.try_pop().map(|c| c.id), Some(2));
+            let mut rest = Vec::new();
+            ring.try_pop_batch(4, &mut rest);
+            let rest: Vec<u64> = rest.into_iter().map(|c| c.id).collect();
+            assert_eq!(rest, (claimed as u64..3).collect::<Vec<_>>());
+            assert_eq!(drops.load(Ordering::SeqCst), 3);
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! (up to `batch_max` envelopes per pop), executing every request as an
 //! STM transaction through one long-lived
 //! [`TxCtx`](tcp_stm::runtime::TxCtx). Batching amortizes the queue's
-//! park/unpark handshake, the pop-side timestamp read, and — because the
-//! context recycles its read/write-set allocations — the per-transaction
-//! setup across the batch.
+//! park/unpark handshake, the claim CAS (one `head` write claims the whole
+//! batch, [`ShardQueue::try_pop_batch`]), the pop-side timestamp read,
+//! and — because the context recycles its read/write-set allocations — the
+//! per-transaction setup across the batch.
 //!
 //! With **work stealing** enabled (`ExecutorConfig::steal`), an executor
 //! whose own ring is empty scans its sibling rings (rotating order,
@@ -36,6 +37,12 @@
 //! * **sojourn** = queue wait + service, the end-to-end quantity whose
 //!   tail percentiles the policy comparison reports.
 //!
+//! All three, and the throughput-interval bucket, are differences of
+//! [`Stamp`]s on the one tick clock (`tcp_core::clock`): the envelope's
+//! admission stamp from the client thread, one stamp per batch pop, and
+//! one completion stamp per envelope — no `Instant` read or `Duration`
+//! arithmetic per envelope.
+//!
 //! Each envelope's queue wait is additionally fed to the *source ring's*
 //! [`QueueWaitEstimator`](tcp_core::engine::QueueWaitEstimator), the
 //! sensor behind SLO-aware adaptive admission in the router.
@@ -43,6 +50,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tcp_core::clock::Stamp;
 use tcp_core::engine::EngineStats;
 use tcp_core::policy::GracePolicy;
 use tcp_core::rng::Xoshiro256StarStar;
@@ -137,6 +145,13 @@ pub fn run_executor<P: GracePolicy>(
     let mut outcomes: Vec<MemberOutcome> = Vec::new();
     let mut member_env: Vec<usize> = Vec::new();
     let mut group_stats = EngineStats::default();
+    // The run epoch on the tick clock, without converting anything yet (a
+    // first conversion may wait out the clock's calibration): a stamp and
+    // how far past `run_start` it was taken.
+    let epoch = RunEpoch {
+        at: Stamp::now(),
+        offset_ns: cfg.run_start.elapsed().as_nanos() as u64,
+    };
     loop {
         // Own ring first: home work keeps its locality and its FIFO.
         let mut source = cfg.shard;
@@ -219,8 +234,10 @@ pub fn run_executor<P: GracePolicy>(
         // whole batch's speculation + group publish run before the first
         // reply, so that shared cost lands on the first envelope's
         // service; the decomposition queue-wait + service = sojourn holds
-        // in both modes.)
-        let mut service_start = Instant::now();
+        // in both modes.) The pop stamp is ordered after the claim's loads,
+        // so it never predates an envelope's admission stamp; every later
+        // stamp of the batch follows it.
+        let mut service_start = Stamp::now_ordered();
         if cfg.group_commit && n > 1 {
             // Phase A: run every envelope speculatively, in batch order —
             // except that under snapshot mode read-only requests are
@@ -302,7 +319,7 @@ pub fn run_executor<P: GracePolicy>(
                     }
                 };
                 service_start =
-                    record_envelope(&mut ctx, &queues[source], cfg, &env, service_start);
+                    record_envelope(&mut ctx, &queues[source], &epoch, &env, service_start);
                 let _ = env.reply.put(env.gen, resp);
             }
         } else {
@@ -310,7 +327,7 @@ pub fn run_executor<P: GracePolicy>(
                 ctx.set_trace_tag(env.gen, env.req.home_key());
                 let resp = execute_request(&mut ctx, cfg, &env.req, 0);
                 service_start =
-                    record_envelope(&mut ctx, &queues[source], cfg, &env, service_start);
+                    record_envelope(&mut ctx, &queues[source], &epoch, &env, service_start);
                 // Misdeliveries are counted inside the cell and surfaced
                 // via `ServeReport::reply_faults`; nothing to do here.
                 let _ = env.reply.put(env.gen, resp);
@@ -328,29 +345,35 @@ pub fn run_executor<P: GracePolicy>(
     ctx.stats
 }
 
+/// [`ExecutorConfig::run_start`] on the tick clock: a stamp, and how many
+/// nanoseconds past `run_start` it was taken.
+struct RunEpoch {
+    at: Stamp,
+    offset_ns: u64,
+}
+
 /// Record one served envelope's latency decomposition (queue wait →
 /// service → sojourn) and its throughput-interval commit, feeding the
 /// source ring's SLO estimator — plus, when tracing, the envelope's
-/// `Done` event carrying that same decomposition. Returns the completion
-/// instant, which becomes the next envelope's service start.
+/// `Done` event carrying that same decomposition. One clock read, the
+/// completion stamp; every quantity is a tick difference. Returns the
+/// completion stamp, which becomes the next envelope's service start.
 fn record_envelope<P: GracePolicy>(
     ctx: &mut TxCtx<'_, P>,
     source: &ShardQueue,
-    cfg: &ExecutorConfig,
+    epoch: &RunEpoch,
     env: &Envelope,
-    service_start: Instant,
-) -> Instant {
-    let queue_wait = service_start
-        .saturating_duration_since(env.enqueued_at)
-        .as_nanos() as u64;
-    let done = Instant::now();
-    let service = done.saturating_duration_since(service_start).as_nanos() as u64;
+    service_start: Stamp,
+) -> Stamp {
+    let done = Stamp::now();
+    let queue_wait = service_start.ns_since(env.enqueued_at);
+    let service = done.ns_since(service_start);
     source.record_queue_wait(queue_wait, done);
     ctx.stats.record_queue_wait(queue_wait);
     ctx.stats.record_service(service);
     ctx.stats.record_latency(queue_wait.saturating_add(service));
     ctx.stats
-        .record_interval_commit(done.saturating_duration_since(cfg.run_start).as_nanos() as u64);
+        .record_interval_commit(epoch.offset_ns + done.ns_since(epoch.at));
     ctx.set_trace_tag(env.gen, env.req.home_key());
     ctx.trace_event(TraceKind::Done, queue_wait, service);
     done
@@ -571,6 +594,51 @@ mod tests {
             assert_eq!(cell.faults(), (0, 0));
         }
         assert_eq!(stm.read_direct(3), 1);
+    }
+
+    #[test]
+    fn a_queue_wait_stamped_on_another_thread_is_the_hold() {
+        // The envelope is stamped on a client thread and held 2 ms before
+        // the executor (this thread) starts: its queue wait is that hold,
+        // a tick difference across threads, and its sojourn is exactly
+        // queue wait + service. The histograms' min/max are exact.
+        const HOLD: Duration = Duration::from_millis(2);
+        let stm = Stm::new(64, 1);
+        let queue = Arc::new(ShardQueue::new(4));
+        let cell = Arc::new(ReplyCell::new());
+        let before_stamp = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let gen = cell.issue();
+                queue
+                    .try_push(Envelope::new(Request::Add(1, 1), Arc::clone(&cell), gen))
+                    .unwrap_or_else(|_| panic!("push"));
+            });
+        });
+        std::thread::sleep(HOLD);
+        queue.close();
+        let stats = run_executor(
+            &stm,
+            NoDelay::requestor_aborts(),
+            Xoshiro256StarStar::new(1),
+            &[Arc::clone(&queue)],
+            &drain_config(0, false),
+        );
+        let outer = before_stamp.elapsed().as_nanos() as u64;
+        assert_eq!(cell.take(), Response::Added(1));
+        let queue_wait = stats.queue_wait_hist.max();
+        let service = stats.service_hist.max();
+        // The tick-to-ns scale is within ~0.1 % of `Instant`; allow 1 %.
+        let hold = HOLD.as_nanos() as u64;
+        assert!(
+            queue_wait >= hold - hold / 100,
+            "queue wait {queue_wait} ns < hold {hold} ns"
+        );
+        assert!(
+            queue_wait + service <= outer + outer / 100,
+            "queue wait {queue_wait} + service {service} ns > the {outer} ns around them"
+        );
+        assert_eq!(stats.latency_hist.max(), queue_wait + service, "sojourn");
     }
 
     #[test]

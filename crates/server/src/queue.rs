@@ -29,8 +29,10 @@
 //! besides the owning shard executor, idle sibling executors may pop
 //! batches with [`try_pop_batch`](ShardQueue::try_pop_batch) (work
 //! stealing), and an owner pop and a concurrent steal can race without
-//! loss, duplication, or tearing. Only the *owner* ever parks; stealers are
-//! strictly non-blocking.
+//! loss, duplication, or tearing. Every batch, owned or stolen, is one
+//! claim CAS on the ring's `head` ([`Ring::try_pop_batch`]), not one per
+//! envelope. Only the *owner* ever parks; stealers are strictly
+//! non-blocking.
 //!
 //! Clients submit with [`try_push`](ShardQueue::try_push), which **sheds on
 //! full** (depth ≥ capacity, never below it) rather than blocking — the
@@ -52,6 +54,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
+use tcp_core::clock::Stamp;
 use tcp_core::engine::QueueWaitEstimator;
 use tcp_core::ring::{Front, Refusal, Ring};
 
@@ -65,8 +68,10 @@ pub struct Envelope {
     pub reply: Arc<ReplyCell>,
     /// Generation the reply must carry (see [`ReplyCell::issue`]).
     pub gen: u64,
-    /// When admission control accepted this request into the shard queue.
-    pub enqueued_at: Instant,
+    /// When admission control accepted this request into the shard queue,
+    /// on the tick clock: the executor that pops it — on another thread —
+    /// takes its queue wait as a tick difference against this.
+    pub enqueued_at: Stamp,
 }
 
 impl Envelope {
@@ -76,7 +81,7 @@ impl Envelope {
             req,
             reply,
             gen,
-            enqueued_at: Instant::now(),
+            enqueued_at: Stamp::now(),
         }
     }
 }
@@ -285,7 +290,7 @@ impl ShardQueue {
     /// envelope — owner or stealer — so the sensor tracks the ring the
     /// request actually waited in. `now` is the clock reading the caller
     /// already holds (it closes the estimator's window when due).
-    pub fn record_queue_wait(&self, ns: u64, now: Instant) {
+    pub fn record_queue_wait(&self, ns: u64, now: Stamp) {
         self.estimator.record_at(ns, now);
     }
 
@@ -333,14 +338,13 @@ impl ShardQueue {
     }
 
     /// Non-blocking batch pop: claim up to `max` published envelopes into
-    /// `out` and return the number appended (0 when nothing is claimable
-    /// right now). Safe to call from *any* thread concurrently with the
-    /// owner — this is the steal entry point of the work-stealing
-    /// executors, and also the owner's fast path when stealing is on.
+    /// `out` with one `head` CAS ([`Ring::try_pop_batch`]) and return the
+    /// number appended (0 when nothing is claimable right now). Safe to
+    /// call from *any* thread concurrently with the owner — this is the
+    /// steal entry point of the work-stealing executors, and also the
+    /// owner's fast path when stealing is on.
     pub fn try_pop_batch(&self, max: usize, out: &mut Vec<Envelope>) -> usize {
-        let before = out.len();
-        out.extend(std::iter::from_fn(|| self.ring.try_pop()).take(max));
-        out.len() - before
+        self.ring.try_pop_batch(max, out)
     }
 
     /// Block until at least one envelope is available or the queue is
@@ -359,8 +363,8 @@ impl ShardQueue {
     /// Pop up to `max` envelopes into `out`, blocking until at least one is
     /// available or the queue is closed *and* drained. Returns the number
     /// appended; `0` signals the worker to exit. Batching amortizes the
-    /// park/unpark handshake and the executor's per-wakeup setup across
-    /// the whole batch. Owner-only (it parks); stealers use
+    /// park/unpark handshake, the claim CAS and the executor's per-wakeup
+    /// setup across the whole batch. Owner-only (it parks); stealers use
     /// [`try_pop_batch`](Self::try_pop_batch).
     pub fn pop_batch(&self, max: usize, out: &mut Vec<Envelope>) -> usize {
         assert!(max > 0, "popping a zero-sized batch would spin forever");

@@ -217,6 +217,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcp_core::clock::Stamp;
 
     #[test]
     fn routes_by_home_shard() {
@@ -369,11 +370,11 @@ mod tests {
         // 1ms queue waits ≫ 100µs SLO; sleep past the 5ms window so the
         // next estimator touch rotates and publishes the p99.
         for _ in 0..100 {
-            q.record_queue_wait(1_000_000, std::time::Instant::now());
+            q.record_queue_wait(1_000_000, Stamp::now());
         }
         std::thread::sleep(std::time::Duration::from_millis(6));
         // Triggers the rotation.
-        q.record_queue_wait(1_000_000, std::time::Instant::now());
+        q.record_queue_wait(1_000_000, Stamp::now());
         match router.submit(Request::Get(0), &reply, 2) {
             Err((_, cause)) => assert_eq!(cause, ShedCause::Slo, "gate must close"),
             Ok(_) => panic!("p99 above SLO must shed"),
@@ -396,10 +397,10 @@ mod tests {
         let reply = Arc::new(ReplyCell::new());
         let q = router.queue(0);
         for _ in 0..100 {
-            q.record_queue_wait(u64::MAX / 2, std::time::Instant::now());
+            q.record_queue_wait(u64::MAX / 2, Stamp::now());
         }
         std::thread::sleep(std::time::Duration::from_millis(6));
-        q.record_queue_wait(u64::MAX / 2, std::time::Instant::now());
+        q.record_queue_wait(u64::MAX / 2, Stamp::now());
         assert!(
             router.submit(Request::Get(0), &reply, 1).is_ok(),
             "capacity-only admission ignores the estimator"
