@@ -17,7 +17,6 @@ use tcp_bench::experiments::{sim_cell, EXPERIMENTS};
 use tcp_bench::table;
 use tcp_core::conflict::{Conflict, ResolutionMode};
 use tcp_htm_sim::config::SimConfig;
-use tcp_htm_sim::noc::Mesh;
 use tcp_workloads::dist::figure2_distributions;
 use tcp_workloads::synthetic::{run_synthetic, RemainingTime, SyntheticConfig};
 
@@ -76,8 +75,10 @@ fn run(args: &[String]) -> Result<(), String> {
 
 const HELP: &str = "tcp — transactional conflict problem driver
   tcp sim       --workload stack --policy rand-rw --threads 8 [--horizon N]
-                [--mode rw|ra] [--mesh] [--per-hop N] [--chain-aware]
-                [--no-backoff] [--seed N] [--mu F] [--delay F] [--skew F]
+                [--chain-aware] [--no-backoff] [--seed N] [--mu F]
+                [--delay F] [--skew F]
+                (the policy names the side that aborts: the *-ra policies
+                 and hybrid run requestor aborts, the rest requestor wins)
   tcp synthetic --policy rand-ra --b 2000 --mu 500 [--dist exponential]
                 [--trials N] [--k N] [--seed N]
   tcp game      --mode rw --k 3 [--iters N] [--paper-ra]
@@ -97,8 +98,8 @@ fn dist_names() -> String {
 
 #[rustfmt::skip]
 const SIM_FLAGS: &[&str] = &[
-    "workload", "policy", "threads", "horizon", "mode", "mesh", "per-hop", "chain-aware",
-    "no-backoff", "seed", "mu", "delay", "skew",
+    "workload", "policy", "threads", "horizon", "chain-aware", "no-backoff", "seed", "mu",
+    "delay", "skew",
 ];
 
 fn cmd_sim(f: &Flags) -> Result<(), String> {
@@ -123,18 +124,10 @@ fn cmd_sim(f: &Flags) -> Result<(), String> {
     probe(threads, 1).map_err(|why| format!("--threads: {why}"))?;
     probe(1, horizon).map_err(|why| format!("--horizon: {why}"))?;
     let seed = f.num("seed", 0xC0FFEE)?;
-    let mode = make_mode(f.get("mode").unwrap_or("rw"))?;
-    let mesh = if f.flag("mesh") {
-        Some(Mesh::for_cores(threads, f.num("per-hop", 2)?))
-    } else {
-        None
-    };
     let s = sim_cell(threads, policy, workload, horizon, |cfg| {
         cfg.seed = seed;
-        cfg.mode = mode;
         cfg.backoff = !f.flag("no-backoff");
         cfg.chain_aware = f.flag("chain-aware");
-        cfg.mesh = mesh;
     });
     table::header(&[
         "commits",

@@ -204,9 +204,9 @@ mod tests {
 
     #[test]
     fn parse_key_values_and_bare_flags() {
-        let f = Flags::parse(&args("--threads 8 --mesh --seed 42")).unwrap();
+        let f = Flags::parse(&args("--threads 8 --chain-aware --seed 42")).unwrap();
         assert_eq!(f.num::<usize>("threads", 1).unwrap(), 8);
-        assert!(f.flag("mesh"));
+        assert!(f.flag("chain-aware"));
         assert_eq!(f.num::<u64>("seed", 0).unwrap(), 42);
         assert_eq!(f.num::<u64>("horizon", 777).unwrap(), 777); // default
         assert!(!f.flag("quick"));

@@ -28,11 +28,19 @@ fn rejects(args: &str, err: &str) {
 #[test]
 fn tcp_rejects_flags_a_command_does_not_take() {
     rejects("fig2a --qiuck", "unknown flag --qiuck; one of: --quick");
-    rejects(
-        "sim --thread 4",
-        "unknown flag --thread; one of: --workload, --policy, --threads, --horizon, --mode, \
-         --mesh, --per-hop, --chain-aware, --no-backoff, --seed, --mu, --delay, --skew",
-    );
+    // `sim` takes no `--mode` (the policy names the side that aborts) and
+    // no `--mesh` (the latencies are flat).
+    for (args, flag) in [
+        ("--thread 4", "thread"),
+        ("--mode ra", "mode"),
+        ("--mesh", "mesh"),
+    ] {
+        let err = format!(
+            "unknown flag --{flag}; one of: --workload, --policy, --threads, --horizon, \
+             --chain-aware, --no-backoff, --seed, --mu, --delay, --skew"
+        );
+        rejects(&format!("sim {args}"), &err);
+    }
     rejects("list --quick", "unknown flag --quick (takes no flags)");
     rejects("fig2a --trace x", "unknown flag --trace; one of: --quick");
 }

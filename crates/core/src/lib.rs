@@ -76,7 +76,7 @@ pub mod prelude {
         chain_r, RaMeanPdf, RaUnconstrainedPdf, RwMeanChainPdf, RwMeanK2Pdf, RwUnconstrainedPdf,
         RwUniformPdf,
     };
-    pub use crate::policy::{DetRa, DetRw, GracePolicy, HandTuned, NoDelay};
+    pub use crate::policy::{machine_mode, DetRa, DetRw, GracePolicy, HandTuned, NoDelay};
     pub use crate::profiler::{AdaptiveMean, MeanProfiler};
     pub use crate::progress::BackoffState;
     pub use crate::randomized::{Hybrid, RandRa, RandRaMean, RandRw, RandRwMean, RandRwUniform};

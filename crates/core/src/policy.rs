@@ -81,6 +81,14 @@ impl<P: GracePolicy + ?Sized> GracePolicy for std::sync::Arc<P> {
     }
 }
 
+/// The one resolution mode a machine runs under `policy`: the policy's
+/// choice for a pair conflict. A substrate (the HTM simulator, the STM
+/// heap, the server) runs one protocol for every conflict, so a policy
+/// that switches on chain length runs its `k = 2` side.
+pub fn machine_mode(policy: &(impl GracePolicy + ?Sized)) -> ResolutionMode {
+    policy.mode(&Conflict::pair(1000.0))
+}
+
 /// Abort immediately on every conflict — the default behaviour of real HTM
 /// implementations and the paper's `NO_DELAY` baseline.
 #[derive(Clone, Copy, Debug)]

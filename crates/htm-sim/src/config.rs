@@ -1,17 +1,17 @@
 //! Simulator configuration: core count, memory-hierarchy latencies, HTM
-//! parameters, and the conflict-resolution policy under test.
+//! parameters, and the conflict-resolution policy under test. The policy
+//! also names the side that aborts (requestor wins or requestor aborts):
+//! the simulator runs [`tcp_core::policy::machine_mode`] of it.
 
 use std::sync::Arc;
 
-use tcp_core::conflict::ResolutionMode;
 use tcp_core::policy::GracePolicy;
 use tcp_core::profiler::MeanProfiler;
 
-use crate::noc::Mesh;
-
-/// Latency model of the private-L1 / shared-L2 hierarchy, in core cycles.
-/// Defaults are in the ballpark of the Graphite configuration used by the
-/// paper (tiled multicore, directory at the shared L2 slice).
+/// Latency model of the private-L1 / shared-L2 hierarchy, in core cycles:
+/// one flat constant per kind of miss. Defaults are in the ballpark of the
+/// Graphite configuration used by the paper (tiled multicore, directory at
+/// the shared L2 slice).
 #[derive(Clone, Copy, Debug)]
 pub struct Latencies {
     /// L1 hit.
@@ -48,12 +48,11 @@ pub struct SimConfig {
     /// Private transactional-cache capacity in lines; overflowing it aborts
     /// the transaction (Algorithm 1, line 4).
     pub l1_capacity: usize,
-    /// Conflict-resolution policy under test.
-    pub policy: Arc<dyn GracePolicy>,
-    /// Resolution applied when the grace period expires. The paper's HTM is
-    /// requestor-wins (§8.2); requestor-aborts is supported for the
+    /// Conflict-resolution policy under test. Its mode decides which side
+    /// aborts when a grace period expires: the paper's HTM is
+    /// requestor-wins (§8.2), and a requestor-aborts policy runs the
     /// comparison experiments.
-    pub mode: ResolutionMode,
+    pub policy: Arc<dyn GracePolicy>,
     /// Enable §7 multiplicative abort-cost inflation for progress.
     pub backoff: bool,
     /// Report the measured conflict-chain length `k` to the policy. The
@@ -72,10 +71,6 @@ pub struct SimConfig {
     pub horizon: u64,
     /// Master seed; each core receives an independent substream.
     pub seed: u64,
-    /// Optional tiled-NoC latency model (Graphite-style mesh): when set,
-    /// directory and forwarding latencies scale with Manhattan hop
-    /// distance instead of the flat `latencies.l2`/`latencies.remote`.
-    pub mesh: Option<Mesh>,
     /// Optional shared profiler fed with the duration of every successful
     /// transaction attempt (§1's "profiler records the empirical mean over
     /// all successful executions"). Share the same handle with an
@@ -95,14 +90,12 @@ impl SimConfig {
             abort_cleanup: 40,
             l1_capacity: 1024,
             policy,
-            mode: ResolutionMode::RequestorWins,
             backoff: true,
             chain_aware: false,
             max_retries: 16,
             grace_cap_factor: 64.0,
             horizon: 1_000_000,
             seed: 0xC0FFEE,
-            mesh: None,
             profiler: None,
         };
         cfg.assert_valid();
@@ -120,18 +113,14 @@ impl SimConfig {
     /// is public and may have been changed since [`new`](Self::new), so
     /// [`Simulator::new`](crate::sim::Simulator::new) runs this again: core
     /// sets are `u64` masks (a 65th core would alias core 0's bit in a
-    /// release build), the mesh divides by its side, and the arbiter
-    /// rejects a non-positive grace cap. An infinite cap is legal — it
-    /// means uncapped.
+    /// release build), and the arbiter rejects a non-positive grace cap.
+    /// An infinite cap is legal — it means uncapped.
     pub fn validate(&self) -> Result<(), String> {
         if !(1..=64).contains(&self.cores) {
             return Err(format!("1..=64 cores supported, got {}", self.cores));
         }
         if self.l1_capacity == 0 {
             return Err("l1_capacity must be at least 1 line".into());
-        }
-        if self.mesh.is_some_and(|m| m.side == 0) {
-            return Err("mesh.side must be at least 1 tile".into());
         }
         if self.horizon == 0 {
             return Err("horizon must be at least 1 cycle".into());
@@ -161,7 +150,6 @@ impl std::fmt::Debug for SimConfig {
             .field("abort_cleanup", &self.abort_cleanup)
             .field("l1_capacity", &self.l1_capacity)
             .field("policy", &self.policy.name())
-            .field("mode", &self.mode)
             .field("backoff", &self.backoff)
             .field("max_retries", &self.max_retries)
             .field("horizon", &self.horizon)
@@ -202,11 +190,6 @@ mod tests {
         assert!(broken(|c| c.cores = 0).contains("cores"));
         assert!(broken(|c| c.cores = 65).contains("cores"));
         assert!(broken(|c| c.l1_capacity = 0).contains("l1_capacity"));
-        assert!(broken(|c| c.mesh = Some(Mesh {
-            side: 0,
-            per_hop: 1
-        }))
-        .contains("mesh.side"));
         assert!(broken(|c| c.horizon = 0).contains("horizon"));
         assert!(broken(|c| c.grace_cap_factor = 0.0).contains("grace_cap_factor"));
         assert!(broken(|c| c.grace_cap_factor = -1.0).contains("grace_cap_factor"));

@@ -9,11 +9,14 @@
 //! deterministic, cycle-granularity, event-driven model of the same machine
 //! that preserves the behaviour the experiments depend on —
 //!
+//! * a miss costs a flat latency per kind — L2, remote copy, memory
+//!   ([`config::Latencies`]) — with no network topology;
 //! * conflicts are detected when a coherence request hits a transactional
 //!   copy (Algorithm 1 of the paper);
 //! * the receiver may delay its response by a policy-chosen grace period;
-//!   if it commits first the requestor proceeds, otherwise the configured
-//!   side aborts (requestor-wins or requestor-aborts);
+//!   if it commits first the requestor proceeds, otherwise the side the
+//!   policy names aborts (requestor-wins or requestor-aborts — one mode
+//!   per run, [`tcp_core::policy::machine_mode`]);
 //! * aborts discard all transactional work and restart after a cleanup
 //!   penalty, with optional §7 multiplicative backoff;
 //! * waiting chains (k > 2) form naturally and are measured; would-be
@@ -40,12 +43,10 @@
 
 pub mod config;
 pub mod mem;
-pub mod noc;
 pub mod sim;
 
 pub mod prelude {
     pub use crate::config::{Latencies, SimConfig};
-    pub use crate::noc::Mesh;
     pub use crate::sim::Simulator;
     pub use tcp_core::engine::{AbortKind, EngineStats, ShardedStats};
 }

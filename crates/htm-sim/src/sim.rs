@@ -4,8 +4,9 @@
 //! Each core repeatedly runs transactions from a [`WorkloadGen`]; accesses
 //! go through a private L1 / shared-directory MSI protocol (Algorithm 1 of
 //! the paper); conflicts consult the configured [`GracePolicy`] and are
-//! resolved requestor-wins or requestor-aborts after the sampled grace
-//! period, exactly as in the paper's Graphite-based prototype (§8.2).
+//! resolved requestor-wins or requestor-aborts, as the policy's
+//! [`machine_mode`] says, after the sampled grace period, exactly as in
+//! the paper's Graphite-based prototype (§8.2).
 //!
 //! ## Event model
 //!
@@ -41,7 +42,7 @@ use std::sync::Arc;
 
 use tcp_core::conflict::ResolutionMode;
 use tcp_core::engine::{AbortKind, ConflictArbiter, SeedFanout, ShardedStats};
-use tcp_core::policy::GracePolicy;
+use tcp_core::policy::{machine_mode, GracePolicy};
 use tcp_core::rng::Xoshiro256StarStar;
 use tcp_workloads::programs::{Op, TxnProgram, WorkloadGen};
 
@@ -145,6 +146,8 @@ struct Core {
 /// [`Simulator::run`], read the [`ShardedStats`] afterwards.
 pub struct Simulator {
     cfg: SimConfig,
+    /// Which side a conflict aborts: the policy's, fixed for the run.
+    mode: ResolutionMode,
     workload: Arc<dyn WorkloadGen>,
     now: u64,
     seq: u64,
@@ -193,6 +196,7 @@ impl Simulator {
         // A core parks at most one request: the slab never outgrows this.
         let pending = Vec::with_capacity(cfg.cores);
         let mut sim = Self {
+            mode: machine_mode(&cfg.policy),
             cfg,
             workload,
             now: 0,
@@ -459,7 +463,7 @@ impl Simulator {
         let k_policy = if self.cfg.chain_aware { k } else { 2 };
         let grace = self.sample_grace(c, primary, k_policy);
         if grace == 0 {
-            match self.cfg.mode {
+            match self.mode {
                 ResolutionMode::RequestorWins => {
                     if cores_in(victims).all(|v| self.can_kill(c, v)) {
                         for v in cores_in(victims) {
@@ -513,7 +517,7 @@ impl Simulator {
     /// inflate B geometrically, and a grace period beyond the horizon is
     /// equivalent to "never abort" within this run).
     fn sample_grace(&mut self, requestor: usize, primary: usize, k: usize) -> u64 {
-        let costed = match self.cfg.mode {
+        let costed = match self.mode {
             ResolutionMode::RequestorWins => primary,
             ResolutionMode::RequestorAborts => requestor,
         };
@@ -534,26 +538,13 @@ impl Simulator {
     fn perform_miss(&mut self, c: usize, line: u32, write: bool, start: u64) {
         let entry = self.dir.entry(line);
         let cold = entry.is_cold();
-        let mut remote_peer: Option<usize> = None;
+        let mut remote = false;
         let e = self.dir.entry_mut(line);
         if write {
             for h in cores_in(entry.holders_except(c)) {
                 self.caches[h].remove(line);
                 e.remove_core(h);
-                remote_peer = Some(match (remote_peer, &self.cfg.mesh) {
-                    // With a mesh model, the slowest invalidation gates the
-                    // grant; keep the farthest peer.
-                    (Some(p), Some(m)) => {
-                        let a = self.lines.addr(line);
-                        if m.forward_latency(c, h, a) > m.forward_latency(c, p, a) {
-                            h
-                        } else {
-                            p
-                        }
-                    }
-                    (Some(p), None) => p,
-                    (None, _) => h,
-                });
+                remote = true;
             }
             e.remove_core(c); // drop our own Shared bit on upgrade
             e.owner = Some(c);
@@ -563,7 +554,7 @@ impl Simulator {
                 self.caches[o].downgrade(line);
                 e.owner = None;
                 e.add_sharer(o);
-                remote_peer = Some(o);
+                remote = true;
             }
             e.add_sharer(c);
         }
@@ -585,19 +576,7 @@ impl Simulator {
             Install::Ok => {}
         }
         debug_assert!(self.dir.check_invariants().is_ok());
-        let lat = match &self.cfg.mesh {
-            // Mesh model: request to the home directory slice (round trip)
-            // plus the forwarding triangle via the farthest remote peer.
-            // The mesh stripes lines by *address*, never by interned id.
-            Some(m) => {
-                let l = &self.cfg.latencies;
-                let a = self.lines.addr(line);
-                l.l2 + m.directory_latency(c, a)
-                    + remote_peer.map_or(0, |p| m.forward_latency(c, p, a))
-                    + if cold { l.mem } else { 0 }
-            }
-            None => self.cfg.miss_latency(remote_peer.is_some(), cold),
-        };
+        let lat = self.cfg.miss_latency(remote, cold);
         self.cores[c].pc += 1;
         self.schedule_step(c, start + lat);
     }
@@ -609,7 +588,7 @@ impl Simulator {
         if req.deadline != seq {
             return;
         }
-        match self.cfg.mode {
+        match self.mode {
             ResolutionMode::RequestorWins => {
                 // The grace period was armed against a specific receiver. If
                 // that receiver is gone (committed/aborted) and the line
@@ -802,14 +781,8 @@ mod tests {
     use tcp_core::randomized::{RandRa, RandRw};
     use tcp_workloads::programs::{ListWorkload, QueueWorkload, StackWorkload, TxAppWorkload};
 
-    fn run_with(
-        cores: usize,
-        policy: Arc<dyn tcp_core::policy::GracePolicy>,
-        mode: ResolutionMode,
-        horizon: u64,
-    ) -> ShardedStats {
+    fn run_with(cores: usize, policy: Arc<dyn GracePolicy>, horizon: u64) -> ShardedStats {
         let mut cfg = SimConfig::new(cores, policy);
-        cfg.mode = mode;
         cfg.horizon = horizon;
         let mut sim = Simulator::new(cfg, Arc::new(StackWorkload::default()));
         sim.run();
@@ -819,12 +792,7 @@ mod tests {
 
     #[test]
     fn single_core_commits_without_aborts() {
-        let s = run_with(
-            1,
-            Arc::new(NoDelay::requestor_wins()),
-            ResolutionMode::RequestorWins,
-            200_000,
-        );
+        let s = run_with(1, Arc::new(NoDelay::requestor_wins()), 200_000);
         assert!(s.commits() > 1000, "commits {}", s.commits());
         assert_eq!(s.aborts(), 0);
         assert_eq!(s.global.conflicts, 0);
@@ -832,12 +800,7 @@ mod tests {
 
     #[test]
     fn contended_no_delay_aborts_a_lot() {
-        let s = run_with(
-            8,
-            Arc::new(NoDelay::requestor_wins()),
-            ResolutionMode::RequestorWins,
-            200_000,
-        );
+        let s = run_with(8, Arc::new(NoDelay::requestor_wins()), 200_000);
         assert!(s.commits() > 0);
         assert!(s.aborts() > 0, "hot stack with 8 threads must conflict");
         assert!(s.global.conflicts > 0);
@@ -845,13 +808,8 @@ mod tests {
 
     #[test]
     fn delay_policies_reduce_wasted_work_under_contention() {
-        let nd = run_with(
-            12,
-            Arc::new(NoDelay::requestor_wins()),
-            ResolutionMode::RequestorWins,
-            400_000,
-        );
-        let rw = run_with(12, Arc::new(RandRw), ResolutionMode::RequestorWins, 400_000);
+        let nd = run_with(12, Arc::new(NoDelay::requestor_wins()), 400_000);
+        let rw = run_with(12, Arc::new(RandRw), 400_000);
         assert!(
             rw.commits() > nd.commits(),
             "delaying should beat NO_DELAY on a hot stack: {} vs {}",
@@ -866,19 +824,14 @@ mod tests {
 
     #[test]
     fn requestor_aborts_mode_also_progresses() {
-        let s = run_with(
-            8,
-            Arc::new(RandRa),
-            ResolutionMode::RequestorAborts,
-            300_000,
-        );
+        let s = run_with(8, Arc::new(RandRa), 300_000);
         assert!(s.commits() > 500, "commits {}", s.commits());
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run_with(6, Arc::new(RandRw), ResolutionMode::RequestorWins, 100_000);
-        let b = run_with(6, Arc::new(RandRw), ResolutionMode::RequestorWins, 100_000);
+        let a = run_with(6, Arc::new(RandRw), 100_000);
+        let b = run_with(6, Arc::new(RandRw), 100_000);
         assert_eq!(a.commits(), b.commits());
         assert_eq!(a.aborts(), b.aborts());
         assert_eq!(a.global.conflicts, b.global.conflicts);
@@ -987,43 +940,15 @@ mod tests {
 
     #[test]
     fn stall_cycles_accrue_only_with_delays() {
-        let nd = run_with(
-            8,
-            Arc::new(NoDelay::requestor_wins()),
-            ResolutionMode::RequestorWins,
-            200_000,
-        );
+        let nd = run_with(8, Arc::new(NoDelay::requestor_wins()), 200_000);
         assert_eq!(nd.merged().wait_cycles, 0, "NO_DELAY never parks a request");
-        let det = run_with(8, Arc::new(DetRw), ResolutionMode::RequestorWins, 200_000);
+        let det = run_with(8, Arc::new(DetRw), 200_000);
         assert!(det.merged().wait_cycles > 0);
     }
 
     #[test]
-    fn mesh_model_slows_remote_traffic_but_preserves_correctness() {
-        let mk = |mesh: Option<crate::noc::Mesh>| {
-            let mut cfg = SimConfig::new(16, Arc::new(RandRw));
-            cfg.horizon = 300_000;
-            cfg.mesh = mesh;
-            let mut sim = Simulator::new(cfg, Arc::new(TxAppWorkload::default()));
-            sim.run();
-            sim.check_coherence()
-                .expect("coherence violated under mesh");
-            sim.stats.commits()
-        };
-        let flat = mk(None);
-        let meshed = mk(Some(crate::noc::Mesh::for_cores(16, 4)));
-        assert!(meshed > 0);
-        // A 4-cycle-per-hop mesh is slower than the flat 15-cycle remote
-        // constant on a contended workload (average round trips are longer).
-        assert!(
-            meshed < flat,
-            "mesh should cost throughput: {meshed} vs flat {flat}"
-        );
-    }
-
-    #[test]
     fn latency_accounting_is_sane() {
-        let s = run_with(4, Arc::new(RandRw), ResolutionMode::RequestorWins, 200_000);
+        let s = run_with(4, Arc::new(RandRw), 200_000);
         // Average latency per committed txn must be at least the body length.
         let avg = s.merged().total_latency as f64 / s.commits() as f64;
         assert!(avg >= StackWorkload::default().mean_body_cycles());
@@ -1034,7 +959,7 @@ mod tests {
     fn single_thread_throughput_is_highest_per_thread() {
         let per_thread = |cores: usize| {
             let nd = Arc::new(NoDelay::requestor_wins());
-            let s = run_with(cores, nd, ResolutionMode::RequestorWins, 200_000);
+            let s = run_with(cores, nd, 200_000);
             s.ops_per_second(1.0) / cores as f64
         };
         assert!(
@@ -1100,17 +1025,6 @@ mod tests {
     #[should_panic(expected = "invalid SimConfig: l1_capacity must be at least 1")]
     fn zero_capacity_cache_is_rejected() {
         build_with(|cfg| cfg.l1_capacity = 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SimConfig: mesh.side must be at least 1")]
-    fn zero_sided_mesh_is_rejected_before_it_divides() {
-        build_with(|cfg| {
-            cfg.mesh = Some(crate::noc::Mesh {
-                side: 0,
-                per_hop: 2,
-            })
-        });
     }
 
     #[test]
@@ -1213,11 +1127,10 @@ mod tests {
     }
 
     #[test]
-    fn ids_never_reach_the_mesh() {
+    fn addresses_are_only_names() {
         // The same programs over two address ranges that intern to the same
-        // ids but hash to different home tiles: with a mesh the latencies
-        // (and so the run) must differ, without one they must not.
-        let run = |base: u64, mesh: Option<crate::noc::Mesh>| {
+        // ids: no simulated quantity may depend on the addresses themselves.
+        let run = |base: u64| {
             let programs = (0..8u64)
                 .map(|i| TxnProgram {
                     ops: vec![
@@ -1229,7 +1142,6 @@ mod tests {
                 .collect();
             let mut cfg = SimConfig::new(4, Arc::new(RandRw));
             cfg.horizon = 40_000;
-            cfg.mesh = mesh;
             let mut sim = Simulator::new(
                 cfg,
                 Arc::new(tcp_workloads::programs::FixedProgramsWorkload::new(
@@ -1240,12 +1152,6 @@ mod tests {
             sim.check_coherence().expect("coherence violated");
             sim.stats.clone()
         };
-        let mesh = Some(crate::noc::Mesh::for_cores(4, 6));
-        assert_eq!(run(0, None), run(1 << 30, None), "addresses are only names");
-        assert_ne!(
-            run(0, mesh),
-            run(1 << 30, mesh),
-            "home tiles follow the address"
-        );
+        assert_eq!(run(0), run(1 << 30));
     }
 }

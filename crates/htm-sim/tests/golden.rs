@@ -25,7 +25,6 @@ use tcp_core::engine::ShardedStats;
 use tcp_core::policy::{DetRw, GracePolicy, HandTuned, NoDelay};
 use tcp_core::randomized::{RandRa, RandRw};
 use tcp_htm_sim::config::SimConfig;
-use tcp_htm_sim::noc::Mesh;
 use tcp_htm_sim::sim::Simulator;
 use tcp_workloads::programs::{
     FixedProgramsWorkload, ListWorkload, Op, StackWorkload, TxAppWorkload, TxnProgram, WorkloadGen,
@@ -132,7 +131,6 @@ fn sim_repro_six_configurations_two_seeds() {
 #[test]
 fn requestor_aborts_with_rand_ra() {
     let mut cfg = SimConfig::new(8, Arc::new(RandRa));
-    cfg.mode = ResolutionMode::RequestorAborts;
     cfg.horizon = 250_000;
     cfg.seed = 42;
     let stats = run(cfg, stack());
@@ -164,17 +162,6 @@ fn long_fixed_delays_form_chains() {
     let long_chains: u64 = stats.global.chain_hist[3..].iter().sum();
     assert!(long_chains > 0);
     pin("hand_tuned/stack16", &stats, 0xe992b37f93976a83);
-}
-
-#[test]
-fn mesh_latency_model() {
-    let mut cfg = SimConfig::new(16, Arc::new(RandRw));
-    cfg.mesh = Some(Mesh::for_cores(16, 4));
-    cfg.horizon = 200_000;
-    cfg.seed = 42;
-    let stats = run(cfg, txapp());
-    assert!(stats.commits() > 0);
-    pin("mesh/txapp16", &stats, 0xfae0e783828aa67f);
 }
 
 #[test]

@@ -10,9 +10,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tcp_core::conflict::Conflict;
 use tcp_core::engine::{SeedFanout, ShardedStats};
-use tcp_core::policy::GracePolicy;
+use tcp_core::policy::{machine_mode, GracePolicy};
 use tcp_core::trace::{Trace, TraceReport};
 use tcp_stm::runtime::Stm;
 
@@ -91,7 +90,7 @@ where
     P: GracePolicy + Clone,
 {
     cfg.validate();
-    let mode = policy.mode(&Conflict::pair(1000.0));
+    let mode = machine_mode(&policy);
     // Shard-major heap layout: each executor's keys occupy contiguous,
     // exclusively-owned cache lines, so shards never false-share.
     let stm = Stm::with_layout(cfg.keys as usize, cfg.shards, cfg.shards, mode);

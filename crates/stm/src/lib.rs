@@ -15,8 +15,8 @@
 //! It exists because no maintained Rust STM crate offers pluggable
 //! contention management (README, "Deviations from the paper", 3), and it
 //! validates the policies on real threads rather than in simulation.
-//! Transactional stack and queue structures and a throughput harness
-//! mirror the paper's benchmarks.
+//! A transactional stack and a throughput harness mirror the paper's
+//! stack benchmark.
 //!
 //! ```
 //! use tcp_stm::prelude::*;
@@ -42,7 +42,7 @@ pub mod prelude {
         Abort, Addr, GroupCommit, MemberOutcome, PreparedTx, Reciprocal, ShardLayout, SnapshotMiss,
         SnapshotTx, Stm, Tx, TxCtx, WriteEntry, WriteOp, PAIRS_PER_LINE,
     };
-    pub use crate::structures::{TMap, TQueue, TStack};
+    pub use crate::structures::TStack;
     pub use crate::throughput::{stack_throughput, txapp_throughput, Throughput};
     pub use tcp_core::engine::EngineStats;
 }

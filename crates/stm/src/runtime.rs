@@ -456,13 +456,15 @@ const _: () = {
 };
 
 impl Stm {
-    /// A heap of `words` zero-initialized words supporting up to
-    /// `max_threads` concurrent transaction contexts, laid out as a
-    /// single shard (adjacent keys pack densely).
+    /// A requestor-aborts heap of `words` zero-initialized words supporting
+    /// up to `max_threads` concurrent transaction contexts, laid out as a
+    /// single shard (adjacent keys pack densely). A heap for a
+    /// requestor-wins policy is built with [`with_mode`](Self::with_mode).
     pub fn new(words: usize, max_threads: usize) -> Self {
         Self::with_layout(words, max_threads, 1, ResolutionMode::RequestorAborts)
     }
 
+    /// [`new`](Self::new), resolving expired grace periods in `mode`.
     pub fn with_mode(words: usize, max_threads: usize, mode: ResolutionMode) -> Self {
         Self::with_layout(words, max_threads, 1, mode)
     }

@@ -1,6 +1,5 @@
-//! Transactional data structures built on the STM runtime: the bounded
-//! stack and queue used by the real-thread throughput experiments
-//! (mirroring the paper's HTM stack/queue benchmarks).
+//! The bounded transactional stack the real-thread throughput experiments
+//! hammer (the STM twin of the paper's HTM stack benchmark).
 
 use tcp_core::policy::GracePolicy;
 
@@ -68,199 +67,6 @@ impl TStack {
     }
 }
 
-/// Layout of a bounded transactional FIFO ring inside an [`Stm`] heap:
-/// `[head, tail, slot_0, ..., slot_{cap-1}]` starting at `base`.
-/// `head` and `tail` are monotone counters; the ring index is `c % cap`.
-#[derive(Clone, Copy, Debug)]
-pub struct TQueue {
-    base: Addr,
-    cap: usize,
-}
-
-impl TQueue {
-    pub fn words(cap: usize) -> usize {
-        cap + 2
-    }
-
-    pub fn new(base: Addr, cap: usize) -> Self {
-        assert!(cap > 0);
-        Self { base, cap }
-    }
-
-    fn head_addr(&self) -> Addr {
-        self.base
-    }
-
-    fn tail_addr(&self) -> Addr {
-        self.base + 1
-    }
-
-    fn slot(&self, c: u64) -> Addr {
-        self.base + 2 + (c % self.cap as u64) as usize
-    }
-
-    /// Enqueue; `Ok(false)` when full.
-    pub fn enqueue<P: GracePolicy>(&self, tx: &mut Tx<'_, '_, P>, v: u64) -> Result<bool, Abort> {
-        let tail = tx.read(self.tail_addr())?;
-        let head = tx.read(self.head_addr())?;
-        if tail - head >= self.cap as u64 {
-            return Ok(false);
-        }
-        tx.write(self.slot(tail), v)?;
-        tx.write(self.tail_addr(), tail + 1)?;
-        Ok(true)
-    }
-
-    /// Dequeue; `Ok(None)` when empty.
-    pub fn dequeue<P: GracePolicy>(&self, tx: &mut Tx<'_, '_, P>) -> Result<Option<u64>, Abort> {
-        let head = tx.read(self.head_addr())?;
-        let tail = tx.read(self.tail_addr())?;
-        if head == tail {
-            return Ok(None);
-        }
-        let v = tx.read(self.slot(head))?;
-        tx.write(self.head_addr(), head + 1)?;
-        Ok(Some(v))
-    }
-
-    pub fn len_direct(&self, stm: &Stm) -> u64 {
-        stm.read_direct(self.tail_addr()) - stm.read_direct(self.head_addr())
-    }
-}
-
-/// A bounded transactional hash map with open addressing and linear
-/// probing, laid out as `cap` (key, value) word pairs starting at `base`.
-///
-/// Keys are non-zero `u64`s; `EMPTY` (0) marks never-used slots and
-/// `TOMBSTONE` (u64::MAX) deleted ones. The probe sequence is transactional
-/// reads, so lookups serialize correctly against concurrent inserts.
-#[derive(Clone, Copy, Debug)]
-pub struct TMap {
-    base: Addr,
-    cap: usize,
-}
-
-const EMPTY: u64 = 0;
-const TOMBSTONE: u64 = u64::MAX;
-
-impl TMap {
-    pub fn words(cap: usize) -> usize {
-        2 * cap
-    }
-
-    pub fn new(base: Addr, cap: usize) -> Self {
-        assert!(cap.is_power_of_two(), "capacity must be a power of two");
-        Self { base, cap }
-    }
-
-    fn key_addr(&self, slot: usize) -> Addr {
-        self.base + 2 * slot
-    }
-
-    fn val_addr(&self, slot: usize) -> Addr {
-        self.base + 2 * slot + 1
-    }
-
-    #[inline]
-    fn hash(&self, key: u64) -> usize {
-        // Fibonacci hashing; cap is a power of two.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.cap - 1)
-    }
-
-    fn check_key(key: u64) {
-        assert!(key != EMPTY && key != TOMBSTONE, "key {key:#x} is reserved");
-    }
-
-    /// Look up `key` inside an open transaction.
-    pub fn get<P: GracePolicy>(
-        &self,
-        tx: &mut Tx<'_, '_, P>,
-        key: u64,
-    ) -> Result<Option<u64>, Abort> {
-        Self::check_key(key);
-        let mut slot = self.hash(key);
-        for _ in 0..self.cap {
-            let k = tx.read(self.key_addr(slot))?;
-            if k == key {
-                return Ok(Some(tx.read(self.val_addr(slot))?));
-            }
-            if k == EMPTY {
-                return Ok(None);
-            }
-            slot = (slot + 1) & (self.cap - 1);
-        }
-        Ok(None)
-    }
-
-    /// Insert or update; `Ok(false)` when the table is full.
-    pub fn insert<P: GracePolicy>(
-        &self,
-        tx: &mut Tx<'_, '_, P>,
-        key: u64,
-        value: u64,
-    ) -> Result<bool, Abort> {
-        Self::check_key(key);
-        let mut slot = self.hash(key);
-        let mut free: Option<usize> = None;
-        for _ in 0..self.cap {
-            let k = tx.read(self.key_addr(slot))?;
-            if k == key {
-                tx.write(self.val_addr(slot), value)?;
-                return Ok(true);
-            }
-            if k == TOMBSTONE && free.is_none() {
-                free = Some(slot);
-            }
-            if k == EMPTY {
-                let target = free.unwrap_or(slot);
-                tx.write(self.key_addr(target), key)?;
-                tx.write(self.val_addr(target), value)?;
-                return Ok(true);
-            }
-            slot = (slot + 1) & (self.cap - 1);
-        }
-        if let Some(target) = free {
-            tx.write(self.key_addr(target), key)?;
-            tx.write(self.val_addr(target), value)?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Remove `key`; returns the previous value if present.
-    pub fn remove<P: GracePolicy>(
-        &self,
-        tx: &mut Tx<'_, '_, P>,
-        key: u64,
-    ) -> Result<Option<u64>, Abort> {
-        Self::check_key(key);
-        let mut slot = self.hash(key);
-        for _ in 0..self.cap {
-            let k = tx.read(self.key_addr(slot))?;
-            if k == key {
-                let v = tx.read(self.val_addr(slot))?;
-                tx.write(self.key_addr(slot), TOMBSTONE)?;
-                return Ok(Some(v));
-            }
-            if k == EMPTY {
-                return Ok(None);
-            }
-            slot = (slot + 1) & (self.cap - 1);
-        }
-        Ok(None)
-    }
-
-    /// Number of live entries (non-transactional; test use).
-    pub fn len_direct(&self, stm: &Stm) -> usize {
-        (0..self.cap)
-            .filter(|&s| {
-                let k = stm.read_direct(self.key_addr(s));
-                k != EMPTY && k != TOMBSTONE
-            })
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,133 +104,6 @@ mod tests {
         assert!(t.run(|tx| st.push(tx, 2)));
         assert!(!t.run(|tx| st.push(tx, 3)));
         assert_eq!(st.len_direct(&stm), 2);
-    }
-
-    #[test]
-    fn queue_fifo_single_thread() {
-        let stm = Stm::new(TQueue::words(4), 1);
-        let q = TQueue::new(0, 4);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        for v in [1, 2, 3] {
-            assert!(t.run(|tx| q.enqueue(tx, v)));
-        }
-        assert_eq!(t.run(|tx| q.dequeue(tx)), Some(1));
-        assert_eq!(t.run(|tx| q.dequeue(tx)), Some(2));
-        assert!(t.run(|tx| q.enqueue(tx, 4)));
-        assert_eq!(t.run(|tx| q.dequeue(tx)), Some(3));
-        assert_eq!(t.run(|tx| q.dequeue(tx)), Some(4));
-        assert_eq!(t.run(|tx| q.dequeue(tx)), None);
-    }
-
-    #[test]
-    fn queue_wraps_and_respects_capacity() {
-        let stm = Stm::new(TQueue::words(2), 1);
-        let q = TQueue::new(0, 2);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        for round in 0..10u64 {
-            assert!(t.run(|tx| q.enqueue(tx, round)));
-            assert!(t.run(|tx| q.enqueue(tx, round + 100)));
-            assert!(!t.run(|tx| q.enqueue(tx, 999)), "ring must be full");
-            assert_eq!(t.run(|tx| q.dequeue(tx)), Some(round));
-            assert_eq!(t.run(|tx| q.dequeue(tx)), Some(round + 100));
-        }
-    }
-
-    #[test]
-    fn map_insert_get_remove_roundtrip() {
-        let stm = Stm::new(TMap::words(16), 1);
-        let m = TMap::new(0, 16);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        assert_eq!(t.run(|tx| m.get(tx, 7)), None);
-        assert!(t.run(|tx| m.insert(tx, 7, 70)));
-        assert!(t.run(|tx| m.insert(tx, 9, 90)));
-        assert_eq!(t.run(|tx| m.get(tx, 7)), Some(70));
-        // Update in place.
-        assert!(t.run(|tx| m.insert(tx, 7, 71)));
-        assert_eq!(t.run(|tx| m.get(tx, 7)), Some(71));
-        assert_eq!(m.len_direct(&stm), 2);
-        // Remove and reinsert through the tombstone.
-        assert_eq!(t.run(|tx| m.remove(tx, 7)), Some(71));
-        assert_eq!(t.run(|tx| m.get(tx, 7)), None);
-        assert!(t.run(|tx| m.insert(tx, 7, 72)));
-        assert_eq!(t.run(|tx| m.get(tx, 7)), Some(72));
-        assert_eq!(m.len_direct(&stm), 2);
-    }
-
-    #[test]
-    fn map_handles_collision_chains() {
-        // Tiny table: every insert collides; probing must still find slots.
-        let stm = Stm::new(TMap::words(8), 1);
-        let m = TMap::new(0, 8);
-        let mut t = ctx(&stm, 0, NoDelay::requestor_aborts());
-        for key in 1..=8u64 {
-            assert!(t.run(|tx| m.insert(tx, key, key * 10)));
-        }
-        // Full now.
-        assert!(!t.run(|tx| m.insert(tx, 100, 1)));
-        for key in 1..=8u64 {
-            assert_eq!(t.run(|tx| m.get(tx, key)), Some(key * 10));
-        }
-        // Deleting one key must not break lookups that probe past it.
-        assert_eq!(t.run(|tx| m.remove(tx, 3)), Some(30));
-        for key in (1..=8u64).filter(|&k| k != 3) {
-            assert_eq!(t.run(|tx| m.get(tx, key)), Some(key * 10), "key {key}");
-        }
-        assert!(t.run(|tx| m.insert(tx, 100, 1)));
-        assert_eq!(t.run(|tx| m.get(tx, 100)), Some(1));
-    }
-
-    #[test]
-    fn map_concurrent_disjoint_keys_exact() {
-        let stm = Arc::new(Stm::new(TMap::words(8192), 8));
-        let m = TMap::new(0, 8192);
-        let per = 500u64;
-        std::thread::scope(|s| {
-            for id in 0..8usize {
-                let stm = Arc::clone(&stm);
-                s.spawn(move || {
-                    let mut t = ctx(&stm, id, RandRa);
-                    for i in 0..per {
-                        let key = 1 + (id as u64) * per + i;
-                        assert!(t.run(|tx| m.insert(tx, key, key)));
-                    }
-                });
-            }
-        });
-        assert_eq!(m.len_direct(&stm), 8 * per as usize);
-    }
-
-    #[test]
-    fn map_concurrent_counters_exact() {
-        // All threads increment the same 8 hot keys: atomic read-modify-
-        // write through the map must lose no updates.
-        let stm = Arc::new(Stm::new(TMap::words(64), 8));
-        let m = TMap::new(0, 64);
-        {
-            let mut t = ctx(&stm, 0, RandRa);
-            for key in 1..=8u64 {
-                assert!(t.run(|tx| m.insert(tx, key, 0)));
-            }
-        }
-        let per = 1000u64;
-        std::thread::scope(|s| {
-            for id in 0..8usize {
-                let stm = Arc::clone(&stm);
-                s.spawn(move || {
-                    let mut t = ctx(&stm, id, RandRa);
-                    for i in 0..per {
-                        let key = 1 + (i % 8);
-                        t.run(|tx| {
-                            let v = m.get(tx, key)?.unwrap();
-                            m.insert(tx, key, v + 1)
-                        });
-                    }
-                });
-            }
-        });
-        let mut t = ctx(&stm, 0, RandRa);
-        let total: u64 = (1..=8u64).map(|k| t.run(|tx| m.get(tx, k)).unwrap()).sum();
-        assert_eq!(total, 8 * per);
     }
 
     #[test]
@@ -473,46 +152,5 @@ mod tests {
             consumed.load(Ordering::SeqCst)
         );
         assert_eq!(st.len_direct(&stm), 0);
-    }
-
-    #[test]
-    fn concurrent_queue_preserves_per_producer_order() {
-        let stm = Arc::new(Stm::new(TQueue::words(256), 4));
-        let q = TQueue::new(0, 256);
-        let per = 2_000u64;
-        // Two producers tag values with their id in the high bits; one
-        // consumer checks each producer's stream arrives in order.
-        std::thread::scope(|s| {
-            for id in 0..2usize {
-                let stm = Arc::clone(&stm);
-                s.spawn(move || {
-                    let mut t = ctx(&stm, id, RandRa);
-                    for i in 0..per {
-                        let v = ((id as u64) << 32) | i;
-                        while !t.run(|tx| q.enqueue(tx, v)) {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-            let stm2 = Arc::clone(&stm);
-            s.spawn(move || {
-                let mut t = ctx(&stm2, 2, RandRa);
-                let mut next = [0u64; 2];
-                let mut seen = 0;
-                while seen < 2 * per {
-                    if let Some(v) = t.run(|tx| q.dequeue(tx)) {
-                        let id = (v >> 32) as usize;
-                        let i = v & 0xFFFF_FFFF;
-                        assert_eq!(i, next[id], "producer {id} out of order");
-                        next[id] += 1;
-                        seen += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        });
-        assert_eq!(q.len_direct(&stm), 0);
     }
 }

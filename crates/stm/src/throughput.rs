@@ -1,13 +1,14 @@
 //! Real-thread throughput harness: run a transactional workload on the STM
 //! for a fixed wall-clock duration per policy and thread count. This is the
 //! software analogue of the HTM Figure 3 sweeps, validating the policies
-//! outside the simulator.
+//! outside the simulator. Each heap resolves conflicts in the policy's own
+//! mode ([`machine_mode`]), as the simulator and the server do.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use tcp_core::engine::{EngineStats, SeedFanout};
-use tcp_core::policy::GracePolicy;
+use tcp_core::policy::{machine_mode, GracePolicy};
 use tcp_core::rng::{uniform_u64_below, Xoshiro256StarStar};
 
 use crate::runtime::{Stm, TxCtx};
@@ -37,7 +38,7 @@ pub fn stack_throughput<P: GracePolicy + Clone>(
     seed: u64,
 ) -> Throughput {
     let cap = 1 << 16;
-    let stm = Stm::new(TStack::words(cap), threads);
+    let stm = heap(&policy, TStack::words(cap), threads);
     let st = TStack::new(0, cap);
     run_workers(&stm, policy, threads, dur, seed, |t, _, i| {
         if i.is_multiple_of(2) {
@@ -57,7 +58,7 @@ pub fn txapp_throughput<P: GracePolicy + Clone>(
     dur: Duration,
     seed: u64,
 ) -> Throughput {
-    let stm = Stm::new(objects as usize, threads);
+    let stm = heap(&policy, objects as usize, threads);
     run_workers(&stm, policy, threads, dur, seed, |t, pick, _| {
         let a = uniform_u64_below(pick, objects) as usize;
         let mut b = uniform_u64_below(pick, objects - 1) as usize;
@@ -71,6 +72,12 @@ pub fn txapp_throughput<P: GracePolicy + Clone>(
             tx.write(b, y + 1)
         });
     })
+}
+
+/// A zeroed heap of `words` words for `threads` contexts that resolves
+/// conflicts the way `policy` says.
+fn heap<P: GracePolicy>(policy: &P, words: usize, threads: usize) -> Stm {
+    Stm::with_mode(words, threads, machine_mode(policy))
 }
 
 /// The one worker loop: `threads` threads each run `body(ctx, pick, i)`
@@ -124,8 +131,15 @@ fn run_workers<P: GracePolicy + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcp_core::conflict::ResolutionMode;
     use tcp_core::policy::NoDelay;
-    use tcp_core::randomized::RandRa;
+    use tcp_core::randomized::{RandRa, RandRw};
+
+    #[test]
+    fn harness_heap_resolves_in_the_policy_mode() {
+        assert_eq!(heap(&RandRw, 4, 2).mode, ResolutionMode::RequestorWins);
+        assert_eq!(heap(&RandRa, 4, 2).mode, ResolutionMode::RequestorAborts);
+    }
 
     #[test]
     fn stack_throughput_measures_commits() {

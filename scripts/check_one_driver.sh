@@ -15,7 +15,11 @@
 #   - `WithBackoff`, `sweep_threads` or `SweepPoint` appears in any .rs file
 #     or the README (a second §7 inflation, a second simulator sweep);
 #   - `EngineStats` (its struct or an `impl EngineStats` block) declares
-#     `total_cost` or `record_trial` (cost vs OPT is RegretTally's).
+#     `total_cost` or `record_trial` (cost vs OPT is RegretTally's);
+#   - `SimConfig` declares a `mode` or `mesh` field, the word `noc` or
+#     `Mesh` appears under crates/, or crates/stm/src/throughput.rs calls
+#     `Stm::new(` (the policy alone names the side that aborts, on every
+#     substrate, and the simulator has one flat latency model).
 # Run from anywhere:
 #
 #   ./scripts/check_one_driver.sh
@@ -77,9 +81,21 @@ if [[ -n "$tally" ]]; then
     fail=1
 fi
 
+modes=$(awk '
+    /^pub struct SimConfig \{/ { inside = 1 }
+    inside && /^[[:space:]]*pub (mode|mesh):/ { print FILENAME ":" FNR ": " $0 }
+    inside && /^\}/ { inside = 0 }' crates/htm-sim/src/config.rs
+    grep -rnwE 'noc|Mesh' crates || true
+    grep -nF 'Stm::new(' crates/stm/src/throughput.rs || true)
+if [[ -n "$modes" ]]; then
+    echo "check_one_driver: a resolution mode beside the policy's, or a second latency model:"
+    echo "$modes"
+    fail=1
+fi
+
 if [[ $fail -eq 0 ]]; then
     echo "check_one_driver: ok (no crates/skirental, one bin, conflict_cost only in the kernel's homes," \
         ".grace( only in the arbiter and the policies, no WithBackoff / sweep_threads / SweepPoint," \
-        "no cost tally in EngineStats)"
+        "no cost tally in EngineStats, the policy's mode on every substrate, one latency model)"
 fi
 exit $fail

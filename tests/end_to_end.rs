@@ -48,7 +48,6 @@ fn one_policy_many_substrates() {
     let policy = RandRa;
     // Simulator (as Arc<dyn>).
     let mut cfg = SimConfig::new(4, Arc::new(policy));
-    cfg.mode = ResolutionMode::RequestorAborts;
     cfg.horizon = 100_000;
     let mut sim = Simulator::new(cfg, Arc::new(QueueWorkload::default()));
     assert!(sim.run().commits() > 100);

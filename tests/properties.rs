@@ -326,7 +326,6 @@ mod sim_properties {
             let run = || {
                 let w = Arc::new(FixedProgramsWorkload::new(programs.clone()));
                 let mut cfg = SimConfig::new(4, Arc::new(RandRa));
-                cfg.mode = ResolutionMode::RequestorAborts;
                 cfg.horizon = 30_000;
                 cfg.seed = seed;
                 let mut sim = Simulator::new(cfg, w);
