@@ -22,6 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use tcp_core::clock::Stamp;
 use tcp_core::engine::EngineStats;
 use tcp_core::rng::{uniform01, uniform_u64_below, Xoshiro256StarStar};
 use tcp_workloads::dist::Zipf;
@@ -270,14 +271,15 @@ pub fn run_client_open(
     }
 }
 
-/// Spin out a duration (sleep granularity is far too coarse at the
-/// sub-microsecond scales of client think time and in-transaction work).
+/// Spin out a duration on the tick clock (sleep granularity is far too
+/// coarse at the sub-microsecond scales of client think time and
+/// in-transaction work).
 pub(crate) fn spin_ns(ns: u64) {
     if ns == 0 {
         return;
     }
-    let t0 = Instant::now();
-    while (t0.elapsed().as_nanos() as u64) < ns {
+    let t0 = Stamp::now();
+    while Stamp::now().ns_since(t0) < ns {
         std::hint::spin_loop();
     }
 }
@@ -371,6 +373,17 @@ mod tests {
         );
         // A deadline already in the past returns immediately.
         pace_until(start, 0);
+    }
+
+    #[test]
+    fn spin_ns_spins_out_at_least_its_duration() {
+        let start = Instant::now();
+        spin_ns(0);
+        spin_ns(200_000);
+        let elapsed = start.elapsed().as_nanos() as u64;
+        // The tick scale is calibrated to ~0.1 %; allow 1 % short.
+        assert!(elapsed >= 198_000, "spun only {elapsed}ns");
+        assert!(elapsed < 200_000 + 50_000_000, "spun {elapsed}ns");
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! park/unpark handshake, the claim CAS (one `head` write claims the whole
 //! batch, [`ShardQueue::try_pop_batch`]), the pop-side timestamp read,
 //! and — because the context recycles its read/write-set allocations — the
-//! per-transaction setup across the batch.
+//! per-transaction setup across the batch. It also overlaps the reply
+//! hand-off with the batch: right after every non-empty claim (own ring or
+//! stolen) the executor prefetches each envelope's reply-cell state word
+//! ([`ReplyCell::prefetch`](crate::queue::ReplyCell::prefetch)), so up to
+//! `batch_max` cross-core line transfers run while the batch executes
+//! rather than one at a time inside each `put`.
 //!
 //! With **work stealing** enabled (`ExecutorConfig::steal`), an executor
 //! whose own ring is empty scans its sibling rings (rotating order,
@@ -215,6 +220,11 @@ pub fn run_executor<P: GracePolicy>(
             continue;
         }
         idle_park = IDLE_PARK_MIN;
+        // Each reply cell's line sits with the client that last wrote it:
+        // start every transfer now, not one by one inside each `put`.
+        for env in &batch {
+            env.reply.prefetch();
+        }
         if cfg.trace.is_some() {
             // Batch-level event: which ring this batch came off, and how
             // big the claim was (tx/key identity doesn't apply yet).

@@ -539,6 +539,10 @@ impl ReplyCell {
     /// Deliver the response for generation `gen` (worker side). Never
     /// blocks; makes a syscall only when the client is parked in `take`.
     pub fn put(&self, gen: u64, resp: Response) -> PutStatus {
+        // On the serving path the executor prefetched this line when it
+        // claimed the batch, so the load usually hits. Opening with the CAS
+        // instead (expecting `(gen, EMPTY)`) saved 4–6 ns in a put/take
+        // ping-pong but moved neither service time nor latency there.
         let mut s = self.state.load(Ordering::Acquire);
         loop {
             if s >> TAG_BITS != gen {
@@ -601,6 +605,15 @@ impl ReplyCell {
                 return Response::from_words(kind, value);
             }
         }
+    }
+
+    /// Start moving the state word's line toward this core: an executor
+    /// calls it for every envelope of a batch it has just claimed, so the
+    /// transfers overlap the batch's execution instead of each stalling
+    /// its own `put`.
+    #[inline]
+    pub fn prefetch(&self) {
+        tcp_core::pad::prefetch(&self.state);
     }
 
     /// Misdelivery counters: `(duplicate_puts, stale_puts)`.
@@ -761,6 +774,57 @@ mod tests {
         let gen2 = cell.issue();
         assert_eq!(cell.put(gen2, Response::Added(2)), PutStatus::Delivered);
         assert_eq!(cell.take(), Response::Added(2));
+    }
+
+    #[test]
+    fn put_classifies_every_state_tag_against_every_generation() {
+        // The cell at generation 5 in each phase, met by a put of an
+        // older, the same, a newer and an unrepresentable generation:
+        // only (5, EMPTY) takes the response; every other put leaves the
+        // word alone and counts one fault of its kind.
+        use PutStatus::{Delivered, Duplicate, Stale};
+        const AT: u64 = 5;
+        let expected = |tag: u64, gen: u64| match (tag, gen) {
+            (EMPTY, AT) => Delivered,
+            (_, AT) => Duplicate,
+            _ => Stale,
+        };
+        for tag in [EMPTY, WRITING, FULL] {
+            for gen in [AT - 1, AT, AT + 1, (u64::MAX >> TAG_BITS) + 1, u64::MAX] {
+                let cell = ReplyCell::new();
+                cell.state.store(AT << TAG_BITS | tag, Ordering::Relaxed);
+                let status = cell.put(gen, Response::Added(gen));
+                let case = format!("tag {tag}, put gen {gen}");
+                assert_eq!(status, expected(tag, gen), "{case}");
+                let faults = match status {
+                    Delivered => (0, 0),
+                    Duplicate => (1, 0),
+                    Stale => (0, 1),
+                };
+                assert_eq!(cell.faults(), faults, "{case}");
+                let after = if status == Delivered { FULL } else { tag };
+                assert_eq!(
+                    cell.state.load(Ordering::Relaxed),
+                    AT << TAG_BITS | after,
+                    "{case}"
+                );
+                if status == Delivered {
+                    assert_eq!(cell.take(), Response::Added(gen), "{case}");
+                }
+            }
+        }
+        // `take` empties the cell without moving its generation, so a
+        // second put of the same generation is delivered again rather
+        // than counted: a duplicate is only caught while the first
+        // response is still in the cell.
+        let cell = ReplyCell::new();
+        let gen = cell.issue();
+        assert_eq!(cell.put(gen, Response::Written), Delivered);
+        assert_eq!(cell.take(), Response::Written);
+        assert_eq!(cell.put(gen, Response::Added(3)), Delivered);
+        assert_eq!(cell.put(gen, Response::Added(4)), Duplicate);
+        assert_eq!(cell.take(), Response::Added(3));
+        assert_eq!(cell.faults(), (1, 0));
     }
 
     /// Yield until `cond` holds: how these tests pin an interleaving (the
